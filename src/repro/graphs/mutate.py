@@ -48,6 +48,8 @@ enforced by the equivalence harness in ``tests/test_graph_update.py``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -150,6 +152,16 @@ class UpdateBatch:
             + self.add_nodes
             + upserts
         )
+
+    def digest(self) -> str:
+        """Content digest of the operations (the update id is not in it).
+
+        Together with a buffer's fingerprint before the batch it
+        identifies the buffer after it — see
+        :func:`repro.perf.propcache.derive_fingerprint`.
+        """
+        ops = json.dumps(self.to_ops(), sort_keys=True).encode()
+        return hashlib.sha1(ops).hexdigest()
 
     # -- WAL (de)serialization -----------------------------------------
     def to_ops(self) -> dict:
@@ -284,45 +296,40 @@ def _splice_rows(
     csr: sp.csr_matrix,
     n_new: int,
     rows: np.ndarray,
-    row_cols: List[np.ndarray],
-    row_vals: List[np.ndarray],
+    counts: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
 ) -> sp.csr_matrix:
     """Rebuild ``csr`` with rows ``rows`` replaced and ``n_new`` rows total.
 
     ``rows`` must be sorted; replacement rows may be brand new (ids
-    ``>= csr.shape[0]``, necessarily at the tail).  Untouched rows are
-    copied as contiguous spans (one slice assignment per gap), so the
-    splice costs O(nnz) memcpy plus the touched rows — and, crucially,
-    preserves untouched rows' stored bytes and order exactly.
+    ``>= csr.shape[0]``, necessarily at the tail).  Row ``rows[i]``
+    becomes the next ``counts[i]`` entries of ``cols`` / ``vals``.
+    Untouched rows keep their stored bytes and order exactly: they move
+    as one vectorized scatter, and the replacement rows as a second, so
+    the splice is O(nnz) array work with no per-row Python loop.
     """
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     n_old = csr.shape[0]
-    counts = np.zeros(n_new, dtype=np.int64)
-    counts[:n_old] = np.diff(csr.indptr)
-    for row, cols in zip(rows, row_cols):
-        counts[row] = len(cols)
+    old_counts = np.diff(csr.indptr).astype(np.int64)
+    new_counts = np.zeros(n_new, dtype=np.int64)
+    new_counts[:n_old] = old_counts
+    new_counts[rows] = counts
     indptr = np.zeros(n_new + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int64)
-    data = np.empty(total, dtype=csr.data.dtype)
-
-    def copy_span(first: int, last: int) -> None:
-        """Copy untouched old rows [first, last) straight across."""
-        if first >= last:
-            return
-        o0, o1 = csr.indptr[first], csr.indptr[last]
-        d0 = indptr[first]
-        indices[d0 : d0 + (o1 - o0)] = csr.indices[o0:o1]
-        data[d0 : d0 + (o1 - o0)] = csr.data[o0:o1]
-
-    prev = 0
-    for pos, row in enumerate(np.asarray(rows, dtype=np.int64)):
-        copy_span(prev, min(int(row), n_old))
-        d0 = indptr[row]
-        indices[d0 : d0 + counts[row]] = row_cols[pos]
-        data[d0 : d0 + counts[row]] = row_vals[pos]
-        prev = int(row) + 1
-    copy_span(prev, n_old)
+    np.cumsum(new_counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    data = np.empty(int(indptr[-1]), dtype=csr.data.dtype)
+    kept = np.ones(n_old, dtype=bool)
+    kept[rows[rows < n_old]] = False
+    src = np.flatnonzero(np.repeat(kept, old_counts))
+    dst = src + np.repeat(indptr[:n_old] - csr.indptr[:-1], old_counts)[src]
+    indices[dst] = csr.indices[src]
+    data[dst] = csr.data[src]
+    dst = np.repeat(indptr[rows] - (np.cumsum(counts) - counts), counts)
+    dst += np.arange(int(counts.sum()), dtype=np.int64)
+    indices[dst] = cols
+    data[dst] = vals
     return sp.csr_matrix((data, indices, indptr), shape=(n_new, n_new))
 
 
@@ -393,7 +400,11 @@ def apply_batch(graph: Graph, batch: UpdateBatch) -> MutationDelta:
                 cols, vals = cols[order], vals[order]
             row_cols.append(np.asarray(cols, dtype=np.int64))
             row_vals.append(vals)
-        new_adj = _splice_rows(graph.adj, n_new, touched, row_cols, row_vals)
+        new_adj = _splice_rows(
+            graph.adj, n_new, touched,
+            np.fromiter(map(len, row_cols), np.int64, len(row_cols)),
+            np.concatenate(row_cols), np.concatenate(row_vals),
+        )
     else:
         new_adj = graph.adj
 
@@ -478,6 +489,9 @@ def incremental_gcn_norm(
     rows change structure/scale, and a neighbor ``i`` of a seed ``j``
     keeps its structure but re-scales the ``(i, j)`` entry through
     ``inv_sqrt[j]``.  A feature-only batch returns ``old_op`` itself.
+    When ``old_op``'s fingerprint is known, the new operator's is
+    derived from it and the rebuilt rows in O(rows) instead of
+    rehashing every CSR buffer.
     """
     if delta.seeds.size == 0:
         return old_op, degrees, inv_sqrt
@@ -498,25 +512,33 @@ def incremental_gcn_norm(
     # Rows to rebuild: the seeds plus every node adjacent to one (Ã's
     # rows for the seeds already include the self-loop, so gathering
     # their columns yields the closed 1-hop set directly).
-    counts = np.diff(a.indptr)
-    starts = a.indptr[seeds]
-    seed_counts = counts[seeds]
-    gather = np.repeat(
-        starts - (np.cumsum(seed_counts) - seed_counts), seed_counts
-    ) + np.arange(int(seed_counts.sum()), dtype=np.int64)
+    gather, _ = _row_entries(a, seeds)
     rows = np.unique(np.concatenate([seeds, a.indices[gather]]))
+    gather, counts = _row_entries(a, rows)
+    cols = a.indices[gather].astype(np.int64)
+    # The exact expression gcn_norm evaluates per entry, left to right:
+    # (inv_sqrt[i] * ã_ij) * inv_sqrt[j].
+    vals = (new_inv[np.repeat(rows, counts)] * a.data[gather]) * new_inv[cols]
+    new_op = SparseMatrix(
+        _splice_rows(old_op.csr, n_new, rows, counts, cols, vals)
+    )
+    # The splice is a function of the old operator and exactly these
+    # rows, so they (plus the result's dtypes) identify the new content.
+    change = hashlib.sha1(f"{n_new} {new_op.dtype} {new_op.csr.indices.dtype} "
+                          f"{vals.dtype}".encode())
+    for array in (rows, counts, cols, vals):
+        change.update(np.ascontiguousarray(array).tobytes())
+    new_op.inherit_fingerprint(old_op, change.hexdigest())
+    return new_op, new_degrees, new_inv
 
-    row_cols: List[np.ndarray] = []
-    row_vals: List[np.ndarray] = []
-    for row in rows:
-        lo, hi = a.indptr[row], a.indptr[row + 1]
-        cols = a.indices[lo:hi]
-        # The exact expression gcn_norm evaluates per entry, left to
-        # right: (inv_sqrt[i] * ã_ij) * inv_sqrt[j].
-        row_vals.append((new_inv[row] * a.data[lo:hi]) * new_inv[cols])
-        row_cols.append(np.asarray(cols, dtype=np.int64))
-    new_csr = _splice_rows(old_op.csr, n_new, rows, row_cols, row_vals)
-    return SparseMatrix(new_csr), new_degrees, new_inv
+
+def _row_entries(csr: sp.csr_matrix, rows: np.ndarray):
+    """Positions of the stored entries of ``rows`` (row by row, in
+    stored order) and each row's entry count."""
+    counts = np.diff(csr.indptr)[rows].astype(np.int64)
+    starts = csr.indptr[rows].astype(np.int64)
+    positions = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return positions + np.arange(int(counts.sum()), dtype=np.int64), counts
 
 
 # ---------------------------------------------------------------------------

@@ -173,9 +173,9 @@ class Shard:
             )
         if cache is None:
             return self._propagate_chain(features, k)
-        from repro.perf.propcache import array_fingerprint
+        from repro.perf.propcache import fingerprint
 
-        feat_fp = array_fingerprint(features)
+        feat_fp = fingerprint(features)
         computed: dict = {}
 
         def chain() -> List[np.ndarray]:

@@ -28,7 +28,13 @@ provides the store that makes that safe:
 
 Entries are stored read-only (callers receive the shared array and must
 not mutate it) and the store is thread-safe: the serving layer consults
-it from every request worker thread.
+it from every request worker thread.  :meth:`LogitStore.put_rows`
+repairs rows in place when it can: an entry the store allocated itself
+and has never handed out whole is private, so writing ``k`` rows costs
+O(k); an entry that was handed out (the array :meth:`~LogitStore.put`
+returns, or :meth:`~LogitStore.get`) is copied once, and the copy is
+private again.  Row reads (:meth:`~LogitStore.get_rows`) return copies
+taken under the store lock, so no reader sees a row change under it.
 
 The serving integration lives in :mod:`repro.serve.engine`; the
 single-flight and micro-batching companions in
@@ -123,6 +129,9 @@ class LogitStore:
         #: Per-entry boolean stale-row masks (row-level invalidation).
         #: Absent key == fully clean entry.
         self._stale: Dict[Tuple, np.ndarray] = {}
+        #: Keys whose buffer the store allocated and never handed out
+        #: whole, so :meth:`put_rows` may write into it in place.
+        self._private: set = set()
         self._bytes = 0
         self._lock = threading.RLock()
         self.hits = 0
@@ -149,7 +158,7 @@ class LogitStore:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry
+            return self._hand_out(key, entry)
 
     def get_rows(self, key: Tuple, nodes) -> Optional[np.ndarray]:
         """Rows ``nodes`` of the entry, or None if absent/any row stale.
@@ -188,25 +197,36 @@ class LogitStore:
             return logits
         logits.setflags(write=False)
         with self._lock:
-            old = self._entries.pop(key, None)
-            self._stale.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = logits
-            self._bytes += size
-            while self._entries and (
-                len(self._entries) > self.max_entries
-                or self._bytes > self.max_bytes
-            ):
-                evicted_key, evicted = self._entries.popitem(last=False)
-                self._stale.pop(evicted_key, None)
-                self._bytes -= evicted.nbytes
-                self.evictions += 1
+            self._insert(key, logits)
             return logits
 
-    def put_rows(
-        self, key: Tuple, nodes, rows: np.ndarray, num_rows: int
-    ) -> Optional[np.ndarray]:
+    def _insert(self, key: Tuple, entry: np.ndarray) -> None:
+        """Replace ``key``'s entry (fully clean, not private), then evict."""
+        old = self._entries.pop(key, None)
+        self._stale.pop(key, None)
+        self._private.discard(key)
+        if old is not None:
+            self._bytes -= old.nbytes
+        self._entries[key] = entry
+        self._bytes += entry.nbytes
+        while self._entries and (
+            len(self._entries) > self.max_entries
+            or self._bytes > self.max_bytes
+        ):
+            evicted_key, evicted = self._entries.popitem(last=False)
+            self._stale.pop(evicted_key, None)
+            self._private.discard(evicted_key)
+            self._bytes -= evicted.nbytes
+            self.evictions += 1
+
+    def _hand_out(self, key: Tuple, entry: np.ndarray) -> np.ndarray:
+        """``entry`` for a caller to keep: frozen, and no longer private."""
+        if key in self._private:
+            self._private.discard(key)
+            entry.setflags(write=False)
+        return entry
+
+    def put_rows(self, key: Tuple, nodes, rows: np.ndarray, num_rows: int) -> bool:
         """Store only rows ``nodes`` under ``key``; other rows stay stale.
 
         The union-restricted micro-batch path computes logits for a
@@ -214,11 +234,14 @@ class LogitStore:
         warms the store with exactly those rows.  A fresh key gets a
         zero buffer whose stale mask covers everything *except*
         ``nodes`` (so :meth:`get` still misses whole, but
-        :meth:`get_rows` hits for the warmed rows); an existing entry is
-        merged copy-on-write — its clean rows keep serving, ``nodes``
-        are overwritten and un-staled.  Returns the stored entry, or
-        ``None`` if a full-size matrix would exceed the byte budget
-        (nothing is stored; the caller still has its rows).
+        :meth:`get_rows` hits for the warmed rows); an existing entry
+        keeps serving its clean rows while ``nodes`` are overwritten and
+        un-staled.  The write goes in place into a private entry, and
+        into a one-time copy of an entry that was handed out whole (see
+        the module docstring), so an array a caller holds never changes.
+        Returns True once stored, False if a full-size matrix would
+        exceed the byte budget (nothing is stored; the caller still has
+        its rows).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         rows = np.ascontiguousarray(rows)
@@ -231,52 +254,36 @@ class LogitStore:
         if size > self.max_bytes:
             with self._lock:
                 self.rejected += 1
-            return None
+            return False
         with self._lock:
+            self.partial_puts += 1
             entry = self._entries.get(key)
             if (
                 entry is not None
                 and entry.shape == (num_rows, rows.shape[1])
                 and entry.dtype == rows.dtype
             ):
-                merged = entry.copy()
-                merged[nodes] = rows
-                merged.setflags(write=False)
+                if key not in self._private:
+                    entry = entry.copy()  # same nbytes: no accounting
+                    self._entries[key] = entry
+                    self._private.add(key)
+                entry[nodes] = rows
                 mask = self._stale.get(key)
                 if mask is not None:
-                    mask = mask.copy()
                     mask[nodes] = False
-                self._entries[key] = merged  # same nbytes: no accounting
-                if mask is not None and mask.any():
-                    self._stale[key] = mask
-                else:
-                    self._stale.pop(key, None)
+                    if not mask.any():
+                        del self._stale[key]
                 self._entries.move_to_end(key)
-                self.partial_puts += 1
-                return merged
+                return True
             buf = np.zeros((num_rows, rows.shape[1]), dtype=rows.dtype)
             buf[nodes] = rows
-            buf.setflags(write=False)
             mask = np.ones(num_rows, dtype=bool)
             mask[nodes] = False
-            old = self._entries.pop(key, None)
-            self._stale.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = buf
-            self._bytes += buf.nbytes
+            self._insert(key, buf)
+            self._private.add(key)
             if mask.any():
                 self._stale[key] = mask
-            while self._entries and (
-                len(self._entries) > self.max_entries
-                or self._bytes > self.max_bytes
-            ):
-                evicted_key, evicted = self._entries.popitem(last=False)
-                self._stale.pop(evicted_key, None)
-                self._bytes -= evicted.nbytes
-                self.evictions += 1
-            self.partial_puts += 1
-            return buf if key in self._entries else None
+            return True
 
     # ------------------------------------------------------------------
     def invalidate_version(self, version: str) -> int:
@@ -291,6 +298,7 @@ class LogitStore:
             for key in stale:
                 self._bytes -= self._entries.pop(key).nbytes
                 self._stale.pop(key, None)
+                self._private.discard(key)
             self.invalidations += len(stale)
             return len(stale)
 
@@ -343,6 +351,8 @@ class LogitStore:
                 [] if stale_rows is None else stale_rows, dtype=np.int64
             )
             mask = self._stale.pop(old_key, None)
+            private = old_key in self._private
+            self._private.discard(old_key)
             self._entries.pop(old_key)
             self._bytes -= entry.nbytes
             if stale_rows.size and stale_rows.max() >= entry.shape[0]:
@@ -350,12 +360,12 @@ class LogitStore:
                 return False
             if mask is None:
                 mask = np.zeros(entry.shape[0], dtype=bool)
-            else:
-                mask = mask.copy()
             mask[stale_rows] = True
             self._entries[new_key] = entry
             self._entries.move_to_end(new_key)
             self._bytes += entry.nbytes
+            if private:
+                self._private.add(new_key)
             if mask.any():
                 self._stale[new_key] = mask
             return True
@@ -369,6 +379,7 @@ class LogitStore:
         with self._lock:
             self._entries.clear()
             self._stale.clear()
+            self._private.clear()
             self._bytes = 0
             self.hits = 0
             self.misses = 0

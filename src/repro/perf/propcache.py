@@ -13,6 +13,13 @@ independently normalize the same graph still share work.  Entries are
 plain float arrays detached from the tape — correct because gradients
 never flow into ``Â`` or ``X``.
 
+A *frozen* feature buffer (read-only, and so is every array it views)
+is hashed at most once: :func:`fingerprint` remembers its digest for
+the buffer's lifetime.  :func:`freeze` can attach a digest up front —
+the graph-update path uses it to fingerprint a mutated buffer from its
+parent's fingerprint plus the batch (:func:`derive_fingerprint`) in
+O(batch) instead of rehashing N rows.
+
 The cache is LRU-bounded and process-global (:func:`get_cache`); tests
 use :meth:`PropagationCache.clear` for isolation.  It is also
 **thread-safe**: the serving layer shares one cache across all request
@@ -27,8 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +51,76 @@ def array_fingerprint(array: np.ndarray) -> str:
     digest.update(np.asarray(array.shape, dtype=np.int64).tobytes())
     digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
+
+
+#: ``id(array) -> (weakref, fingerprint)`` for frozen buffers; an entry
+#: dies with its buffer.
+_KNOWN: Dict[int, Tuple["weakref.ref", str]] = {}
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether neither ``array`` nor any array it views is writeable."""
+    while array is not None:
+        if not isinstance(array, np.ndarray) or array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+def _remember(array: np.ndarray, digest: str) -> None:
+    key = id(array)
+
+    def forget(ref, key=key):
+        if _KNOWN.get(key, (None,))[0] is ref:
+            _KNOWN.pop(key, None)
+
+    _KNOWN[key] = (weakref.ref(array, forget), digest)
+
+
+def fingerprint(array: np.ndarray) -> str:
+    """:func:`array_fingerprint`, hashed at most once per frozen buffer.
+
+    A writeable buffer can change under its digest, so it is hashed on
+    every call; a frozen one keeps the digest it was first given.
+    """
+    if not _frozen(array):
+        return array_fingerprint(array)
+    known = _KNOWN.get(id(array))
+    if known is not None and known[0]() is array:
+        return known[1]
+    digest = array_fingerprint(array)
+    _remember(array, digest)
+    return digest
+
+
+def freeze(array: np.ndarray, digest: Optional[str] = None) -> np.ndarray:
+    """Make ``array`` read-only; ``digest`` becomes its fingerprint.
+
+    The caller vouches that ``digest`` identifies the content (see
+    :func:`derive_fingerprint`); without one, :func:`fingerprint`
+    hashes the buffer on first use.  Returns ``array``.
+    """
+    array.setflags(write=False)
+    if digest is not None:
+        _remember(array, digest)
+    return array
+
+
+def derive_fingerprint(parent: str, change: str) -> str:
+    """Fingerprint of content fully determined by ``parent``'s and ``change``.
+
+    Used for buffers produced by applying a change (a mutation batch, a
+    dtype cast) to a fingerprinted parent: equal derived fingerprints
+    imply equal content, and the digest always differs from
+    ``parent``'s.  It is not a content hash, so an equal buffer built
+    another way fingerprints differently — a cache miss, never a wrong
+    hit.
+    """
+    digest = hashlib.sha1(b"derived\0")
+    digest.update(parent.encode())
+    digest.update(b"\0")
+    digest.update(change.encode())
+    return "d" + digest.hexdigest()
 
 
 def _apply(adj: SparseMatrix, dense: np.ndarray) -> np.ndarray:
@@ -120,7 +198,7 @@ class PropagationCache:
         if k < 1:
             raise ValueError(f"propagation power must be >= 1, got {k}")
         features = np.ascontiguousarray(features)
-        base_key = (self.scope, adj.fingerprint, array_fingerprint(features))
+        base_key = (self.scope, adj.fingerprint, fingerprint(features))
         with self._lock:
             # Walk down from k to the deepest cached power.
             start = k
@@ -209,12 +287,17 @@ class PropagationCache:
 
         Stops at the first uncached power (a later ``propagate`` call
         recomputes the missing tail from the migrated prefix).  Returns
-        the number of powers migrated.  Old entries are left in place
-        for in-flight readers; LRU eviction retires them.
+        the number of powers migrated.  Migrated old entries leave the
+        cache (readers already holding them keep their arrays; a later
+        lookup under the old fingerprints recomputes), so a stream of
+        updates holds one chain, not one per update.  The old chain
+        is the one keyed by ``old_feat_fp``, so pass the fingerprint of
+        the buffer the reader propagates (a model's own feature tensor,
+        which may be a dtype cast of the graph's features).
         """
         prev = np.ascontiguousarray(new_features)
         n_new, width = prev.shape
-        new_base = (self.scope, new_adj.fingerprint, array_fingerprint(prev))
+        new_base = (self.scope, new_adj.fingerprint, fingerprint(prev))
         old_base = (self.scope, old_adj_fp, old_feat_fp)
         migrated = 0
         with self._lock:
@@ -228,11 +311,15 @@ class PropagationCache:
                 ):
                     break
                 rows = np.asarray(rows_for_power(power), dtype=np.int64)
-                entry = np.zeros((n_new, width), dtype=old_entry.dtype)
-                entry[: old_entry.shape[0]] = old_entry
+                if old_entry.shape[0] == n_new:
+                    entry = old_entry.copy()
+                else:
+                    entry = np.zeros((n_new, width), dtype=old_entry.dtype)
+                    entry[: old_entry.shape[0]] = old_entry
                 if rows.size:
                     entry[rows] = new_adj.csr[rows] @ prev
                 entry.setflags(write=False)
+                del self._entries[old_base + (power,)]
                 self._put(new_base + (power,), entry)
                 prev = entry
                 migrated += 1

@@ -93,7 +93,6 @@ from repro.perf.logitstore import (
     model_fingerprint,
     operator_fingerprint,
 )
-from repro.perf.propcache import array_fingerprint
 from repro.resilience.checkpoint import CheckpointManager, arrays_to_state
 from repro.resilience.wal import GraphMutationLog
 from repro.serve.errors import (
@@ -150,6 +149,7 @@ class ShallowFallback:
             raise ValueError(f"k_hops must be >= 1, got {k_hops}")
         self.graph = graph
         self.k_hops = k_hops
+        self.ridge = ridge
         self.adj = adj if adj is not None else gcn_norm(graph.adj)
         # Cached, shared, read-only Â^k X for the stored features.
         self._propagated = propcache.propagated_features(
@@ -173,6 +173,7 @@ class ShallowFallback:
         # is silently dropped.  ``None`` defers to the runtime switch.
         if quantize is None:
             quantize = perf_config.quantized_fallback_enabled()
+        self.quantize = bool(quantize)
         self.quantized = None
         if quantize:
             from repro.perf.kernels import QuantizedHead
@@ -292,8 +293,16 @@ class InferenceEngine:
     ) -> None:
         self.model = model
         self.graph = graph
-        model.setup(graph)
+        # The engine serves from frozen feature buffers whose fingerprints
+        # it knows, so a graph update derives the next ones in O(batch)
+        # instead of rehashing N rows (see _apply_to_memory).
+        self._feat_fp = propcache.fingerprint(propcache.freeze(graph.features))
+        self._setup(model, graph)
         self.fallback = fallback
+        #: ``(graph, operator)`` to refit the fallback on before its next
+        #: use: an update publishes it instead of refitting on its path.
+        self._fallback_target: Optional[Tuple] = None
+        self._fallback_lock = threading.Lock()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.registry = registry if registry is not None else get_registry()
         # Tracing rides the process-wide tracer unless one is injected;
@@ -313,7 +322,6 @@ class InferenceEngine:
         else:
             self.logit_store = LogitStore() if fastpath else None
         self._singleflight = SingleFlight()
-        self._feat_fp = array_fingerprint(graph.features)
         self._swap_lock = threading.RLock()
         # (model, parameter fingerprint, adjacency fingerprint) published
         # as ONE tuple: predict() snapshots it once, so a concurrent
@@ -385,6 +393,40 @@ class InferenceEngine:
     def _adj_fingerprint(model) -> Optional[str]:
         return operator_fingerprint(getattr(model, "_norm_adj", None))
 
+    @staticmethod
+    def _model_features(features: np.ndarray, feat_fp: str) -> Tensor:
+        """``Tensor(features)`` over a frozen buffer with a known digest.
+
+        A dtype cast (float32 under ``perf_mode()``) derives its
+        fingerprint from ``feat_fp``; an uncast tensor shares
+        ``features`` itself.
+        """
+        tensor = Tensor(features)
+        if tensor.data is not features:
+            propcache.freeze(tensor.data, propcache.derive_fingerprint(
+                feat_fp, f"astype {tensor.data.dtype}"
+            ))
+        return tensor
+
+    def _setup(self, model, graph: Graph) -> None:
+        """``model.setup(graph)`` with frozen, fingerprinted features.
+
+        A model not yet attached to ``graph`` gets its view seeded with
+        :meth:`_model_features`, so the propagation cache keys its
+        ``Â^k X`` chain without hashing; a view attached earlier has its
+        buffer frozen and hashed once, on first use.
+        """
+        view_cache = getattr(model, "_view_cache", None)
+        if view_cache is not None and id(graph) not in view_cache:
+            view_cache[id(graph)] = (
+                graph, model.build_operator(graph),
+                self._model_features(graph.features, self._feat_fp),
+            )
+        model.setup(graph)
+        features = getattr(model, "_features", None)
+        if isinstance(features, Tensor):
+            propcache.freeze(features.data)
+
     @property
     def model_version(self) -> str:
         """Parameter fingerprint of the currently-published model."""
@@ -430,7 +472,7 @@ class InferenceEngine:
         returns.  Returns the new version fingerprint.
         """
         with self._swap_lock, self.tracer.span("serve.swap_model") as span:
-            model.setup(self.graph)
+            self._setup(model, self.graph)
             new_version = model_fingerprint(model)
             _, old_version, _ = self._active
             if self.logit_store is not None:
@@ -594,26 +636,29 @@ class InferenceEngine:
         view cache, SGC's attach-time ``Â^K X``) misses naturally instead
         of silently serving stale state.  ``Â`` is renormalized
         incrementally when the model uses the stock ``gcn_norm`` operator
-        (bitwise-identical to a rebuild), the shared propagation cache is
-        patched row-wise, the shallow fallback refit, logit-store entries
-        migrated row-wise, and the new graph + fingerprints published
-        last, under the swap lock.
+        (bitwise-identical to a rebuild), and the model's own ``Â^k X``
+        chain in the shared propagation cache is patched row-wise.  A
+        changed buffer's fingerprint is derived from its parent's plus
+        the batch, so nothing is rehashed.  Until the publish nothing
+        that serves has changed; the publish then, under the swap lock,
+        attaches the model to the new view, migrates logit-store entries
+        row-wise and flips the published graph, fingerprints and
+        version together.  The shallow fallback is refit lazily, on its
+        first use after the update (:meth:`_fallback_head`).
         """
         from repro.models.base import GNNModel
 
-        model = self._active[0]
+        model, model_version, old_adj_fp = self._active
         old_graph = self.graph
         old_op = getattr(model, "_norm_adj", None)
-        old_adj_fp = self._adj_fingerprint(model)
         old_feat_fp = self._feat_fp
         incremental = (
             isinstance(old_op, SparseMatrix)
             and type(model).build_operator is GNNModel.build_operator
         )
-        if incremental and self._norm_state is None:
-            self._norm_state = normalization_state(old_graph.adj)
-        prev_norm_state = self._norm_state
-        old_fallback = self.fallback
+        norm_state = self._norm_state
+        if incremental and norm_state is None:
+            norm_state = normalization_state(old_graph.adj)
         with self.tracer.span("serve.graph_update.mutate"):
             graph = Graph(
                 adj=old_graph.adj,
@@ -626,123 +671,92 @@ class InferenceEngine:
                 num_classes=old_graph.num_classes,
             )
             delta = apply_batch(graph, batch)
+        features_changed = graph.features is not old_graph.features
+        new_feat_fp = old_feat_fp
+        if features_changed:
+            new_feat_fp = propcache.derive_fingerprint(
+                old_feat_fp, batch.digest()
+            )
+            propcache.freeze(graph.features, new_feat_fp)
         new_op = None
         if incremental:
             with self.tracer.span("serve.graph_update.renorm"):
                 new_op, degrees, inv_sqrt = incremental_gcn_norm(
-                    old_op, graph, delta, *self._norm_state
+                    old_op, graph, delta, *norm_state
                 )
-                self._norm_state = (degrees, inv_sqrt)
+                norm_state = (degrees, inv_sqrt)
         else:
-            self._norm_state = None
-        # Patch the shared propagation cache BEFORE re-attaching, so an
-        # SGC-style on_attach propagation lands on the incrementally
-        # maintained rows instead of recomputing Â^k X from scratch.
-        migrated_powers = 0
-        if new_op is not None and old_adj_fp is not None:
-            with self.tracer.span("serve.graph_update.propagate"):
-                migrated_powers = propcache.get_cache().migrate_propagation(
-                    old_adj_fp, old_feat_fp, new_op, graph.features,
-                    lambda power: dirty_rows(graph.adj, delta, power),
-                )
-        # Attach the model to the new view.  Seeding the view cache with
-        # the incrementally renormalized operator makes attach skip its
-        # from-scratch build.  Everything from here to the publish is
-        # rolled back on failure: attach-time models (SGC serves its
-        # attach-time ``Â^K X`` and ignores the operator argument) would
-        # otherwise keep serving the unpublished graph — a torn read.
+            norm_state = None
+        dirty: dict = {}
+
+        def rows_for(power: int) -> np.ndarray:
+            if power not in dirty:
+                dirty[power] = dirty_rows(graph.adj, delta, power)
+            return dirty[power]
+
+        # Seed the model's view of the new graph — the incrementally
+        # renormalized operator, and the old feature tensor when no
+        # feature row changed — so the attach at publish builds nothing.
         view_cache = getattr(model, "_view_cache", None)
-        prop_tensors = getattr(model, "_prop_tensors", None)
+        old_features = getattr(model, "_features", None)
+        features = new_adj_fp = None
+        migrated_powers = 0
         try:
-            if view_cache is not None and new_op is not None:
-                view_cache[id(graph)] = (graph, new_op, Tensor(graph.features))
-            if prop_tensors is not None:
-                prop_tensors.clear()
-            model.attach(graph)
-            # Refit the degraded head against the new graph: closed-form
-            # ridge over cached Â^k X, milliseconds, and its old version
-            # key is invalidated below before anything new is published.
-            old_fallback_version = None
-            if self.fallback is not None:
-                old_fallback_version = self.fallback.version
-                with self.tracer.span("serve.graph_update.fallback"):
-                    self.fallback = ShallowFallback(
-                        graph, adj=new_op, k_hops=self.fallback.k_hops
-                    )
-            # Row-level logit-store maintenance: entries under the old
-            # (adj, feat) fingerprints migrate to the new key with only
-            # the receptive-field rows marked stale — untouched warm rows
-            # keep serving.  Unknown radius (or a store without row
-            # semantics) degrades to whole-version invalidation:
-            # correctness over warmth.
-            new_adj_fp = self._adj_fingerprint(model)
-            new_feat_fp = array_fingerprint(graph.features)
-            store = self.logit_store
-            model_version = self._active[1]
-            field = self.receptive_field()
-            stale = (
-                dirty_rows(graph.adj, delta, field)
-                if field is not None
-                else None
-            )
-            migrated_entries = 0
-            if store is not None:
-                if old_fallback_version is not None:
-                    store.invalidate_version(old_fallback_version)
-                if (
-                    stale is not None
-                    and old_adj_fp is not None
-                    and new_adj_fp is not None
-                    and hasattr(store, "keys")
-                ):
-                    for key in store.keys():
-                        if (
-                            isinstance(key, tuple)
-                            and len(key) >= 3
-                            and key[0] == model_version
-                            and key[1] == old_adj_fp
-                            and key[2] == old_feat_fp
-                        ):
-                            new_key = (
-                                model_version, new_adj_fp, new_feat_fp
-                            ) + key[3:]
-                            if store.migrate(key, new_key, stale_rows=stale):
-                                migrated_entries += 1
-                elif stale is not None:
-                    store.invalidate_rows(model_version, stale)
+            if view_cache is not None:
+                if features_changed or not isinstance(old_features, Tensor):
+                    features = self._model_features(graph.features, new_feat_fp)
                 else:
-                    store.invalidate_version(model_version)
+                    features = old_features
+                op = new_op if new_op is not None else model.build_operator(graph)
+                view_cache[id(graph)] = (graph, op, features)
+                new_adj_fp = operator_fingerprint(op)
+            # Patch the chain the model reads — keyed by its own feature
+            # buffer, a float32 cast of the graph's under perf_mode() — so
+            # SGC's attach at publish is a cache hit, not k full spmms.
+            if (
+                new_op is not None
+                and old_adj_fp is not None
+                and features is not None
+            ):
+                with self.tracer.span("serve.graph_update.propagate"):
+                    migrated_powers = propcache.get_cache().migrate_propagation(
+                        old_adj_fp, propcache.fingerprint(old_features.data),
+                        new_op, features.data, rows_for,
+                    )
+            field = self.receptive_field()
+            stale = rows_for(field) if field is not None else None
             self._update_hook("pre-publish")
+            with self._swap_lock:
+                prop_tensors = getattr(model, "_prop_tensors", None)
+                if prop_tensors is not None:
+                    prop_tensors.clear()
+                try:
+                    model.attach(graph)
+                    if view_cache is None:
+                        new_adj_fp = self._adj_fingerprint(model)
+                    migrated_entries = self._migrate_store(
+                        model_version, (old_adj_fp, old_feat_fp),
+                        (new_adj_fp, new_feat_fp), stale,
+                    )
+                except BaseException:
+                    model.attach(old_graph)
+                    raise
+                self.graph = graph
+                self._feat_fp = new_feat_fp
+                self._active = (model, model_version, new_adj_fp)
+                self.graph_version = version
+                self._update_versions[batch.update_id] = version
+                self._norm_state = norm_state
+                if self.fallback is not None:
+                    self._fallback_target = (graph, new_op)
         except BaseException:
-            # Failed before publish: put the model back on the last
-            # published view so predicts never observe the new graph.
-            # Cheap — the old view-cache tuple and the old graph's
-            # attach-time entries (SGC's _prop_cache) are still keyed
-            # alive; migrated store/propcache entries under the new
-            # fingerprints are unreachable garbage, and old-key misses
-            # recompute correct values (cold, not wrong).
+            # Nothing was published: the model still serves the old view
+            # (SGC's attach-time Â^K X included).  The propagation chain
+            # already moved to the new fingerprints, so a later lookup
+            # under the old ones recomputes it: cold, not wrong.
             if view_cache is not None:
                 view_cache.pop(id(graph), None)
-            if prop_tensors is not None:
-                prop_tensors.clear()
-            attach_cache = getattr(model, "_prop_cache", None)
-            if isinstance(attach_cache, dict):
-                for key in [
-                    k for k in attach_cache
-                    if (isinstance(k, tuple) and k and k[0] == id(graph))
-                    or k == id(graph)
-                ]:
-                    attach_cache.pop(key, None)
-            self.fallback = old_fallback
-            self._norm_state = prev_norm_state
-            model.attach(old_graph)
             raise
-        with self._swap_lock:
-            self.graph = graph
-            self._feat_fp = new_feat_fp
-            self._active = (model, model_version, new_adj_fp)
-            self.graph_version = version
-            self._update_versions[batch.update_id] = version
         # Published: memory hygiene for id(old_graph)-keyed caches, so a
         # long-lived engine does not accumulate one view per update.
         if view_cache is not None:
@@ -762,6 +776,38 @@ class InferenceEngine:
             "cache_powers_migrated": migrated_powers,
             "store_entries_migrated": migrated_entries,
         }
+
+    def _migrate_store(self, model_version: str, old_fps: Tuple,
+                       new_fps: Tuple, stale: Optional[np.ndarray]) -> int:
+        """Row-level logit-store maintenance for a published update.
+
+        Entries under the old ``(adj, feat)`` fingerprints move to the new
+        key with only the receptive-field rows ``stale`` marked stale, so
+        untouched warm rows keep serving.  An unknown radius (or a store
+        without row semantics) degrades to whole-version invalidation:
+        correctness over warmth.  Returns the number of entries migrated.
+        """
+        store = self.logit_store
+        if store is None:
+            return 0
+        if stale is None:
+            store.invalidate_version(model_version)
+            return 0
+        if old_fps[0] is None or new_fps[0] is None or not hasattr(store, "keys"):
+            store.invalidate_rows(model_version, stale)
+            return 0
+        migrated = 0
+        for key in store.keys():
+            if (
+                isinstance(key, tuple)
+                and len(key) >= 3
+                and key[0] == model_version
+                and key[1:3] == old_fps
+            ):
+                new_key = (model_version,) + new_fps + key[3:]
+                if store.migrate(key, new_key, stale_rows=stale):
+                    migrated += 1
+        return migrated
 
     # -- full path -----------------------------------------------------
     def _full_logits(self, request: PredictRequest, model=None) -> np.ndarray:
@@ -835,21 +881,24 @@ class InferenceEngine:
         request: PredictRequest,
         deadline: Optional[Deadline],
         key: Tuple,
-        model,
     ) -> Tuple[np.ndarray, bool]:
         """Single-flighted cold-cache forward; returns (rows, coalesced).
 
         The flight leader executes the forward, records the one breaker
         outcome, updates the latency EMA and stores the full matrix;
         followers share the stored matrix (or the leader's exception,
-        already breaker-recorded).
+        already breaker-recorded).  The forward and the key it is stored
+        under come from one published state: both are read under the
+        swap lock, which a graph update or model swap holds to publish.
         """
 
         def compute() -> np.ndarray:
             try:
-                with self.tracer.span("serve.forward") as fwd_span:
+                with self.tracer.span("serve.forward") as fwd_span, \
+                        self._swap_lock:
+                    key = self._current_store_key()
                     start = self._clock()
-                    logits = self._full_logits(request, model=model)
+                    logits = self._full_logits(request, model=self._active[0])
                     elapsed = self._clock() - start
                     self._update_latency(elapsed)
                     fwd_span.set("forward_ms", round(1000 * elapsed, 3))
@@ -862,7 +911,10 @@ class InferenceEngine:
                             f"full forward took {1000 * elapsed:.1f} ms, over "
                             f"the {1000 * deadline.budget_s:.0f} ms budget"
                         )
-                    stored = self.logit_store.put(key, logits)
+                    stored = (
+                        logits if key is None
+                        else self.logit_store.put(key, logits)
+                    )
                 self.breaker.record_success()
                 return stored
             except Exception as exc:
@@ -904,19 +956,22 @@ class InferenceEngine:
         enough that a full forward (which warms every row) amortizes
         better.
         """
-        model = self._active[0]
-        if not getattr(model, "supports_restricted_eval", False):
+        if not getattr(self._active[0], "supports_restricted_eval", False):
             return None
-        if len(union) > self.restricted_max_frac * self.graph.num_nodes:
-            return None
-        rows = model.restricted_logits(union)
-        if rows is None:
-            return None
-        key = self._current_store_key()
-        if key is not None:
-            put_rows = getattr(self.logit_store, "put_rows", None)
-            if put_rows is not None:
-                put_rows(key, union, rows, self.graph.num_nodes)
+        # The rows come from the model's attach-time state, which a graph
+        # update flips together with the store key under the swap lock:
+        # read both, and file the rows, under it too.
+        with self._swap_lock:
+            if len(union) > self.restricted_max_frac * self.graph.num_nodes:
+                return None
+            rows = self._active[0].restricted_logits(union)
+            if rows is None:
+                return None
+            key = self._current_store_key()
+            if key is not None:
+                put_rows = getattr(self.logit_store, "put_rows", None)
+                if put_rows is not None:
+                    put_rows(key, union, rows, self.graph.num_nodes)
         self.registry.counter("serve.fastpath.restricted_rows").inc(
             len(union)
         )
@@ -945,14 +1000,17 @@ class InferenceEngine:
             ) as span:
                 selected = self._restricted_rows(union, span)
                 if selected is None:
-                    start = self._clock()
-                    logits = self._full_logits(PredictRequest(nodes=union))
-                    elapsed = self._clock() - start
+                    # One published state for the forward and its key
+                    # (see _coalesced_full).
+                    with self._swap_lock:
+                        start = self._clock()
+                        logits = self._full_logits(PredictRequest(nodes=union))
+                        elapsed = self._clock() - start
+                        key = self._current_store_key()
+                        if key is not None:
+                            logits = self.logit_store.put(key, logits)
                     self._update_latency(elapsed)
                     span.set("forward_ms", round(1000 * elapsed, 3))
-                    key = self._current_store_key()
-                    if key is not None:
-                        logits = self.logit_store.put(key, logits)
                     selected = logits[union]
                 if not np.isfinite(selected).all():
                     raise ModelFault("full model produced non-finite logits")
@@ -983,17 +1041,48 @@ class InferenceEngine:
             return rows
 
     # -- degraded path -------------------------------------------------
+    def _fallback_head(self) -> ShallowFallback:
+        """The fallback, refit on the published graph on first use.
+
+        A graph update only records the graph to refit on, keeping the
+        ridge solve (and its ``Â^k X``) off the update path.  The first
+        degraded request afterwards fits the new head — with the same
+        ``k_hops``, ridge and quantization request, so the fit-time
+        argmax audit still decides whether an int8 head is kept — and
+        drops the old head's store entries.
+        """
+        if self._fallback_target is None:
+            return self.fallback
+        with self._fallback_lock:
+            target = self._fallback_target
+            if target is not None:
+                old = self.fallback
+                graph, adj = target
+                head = ShallowFallback(
+                    graph, adj=adj, k_hops=old.k_hops, ridge=old.ridge,
+                    quantize=old.quantize,
+                )
+                with self._swap_lock:
+                    self.fallback = head
+                    if self._fallback_target is target:
+                        self._fallback_target = None
+                # Entries are keyed by the version, so a head never
+                # versioned has none.
+                if self.logit_store is not None and old._version is not None:
+                    self.logit_store.invalidate_version(old._version)
+            return self.fallback
+
     def _evaluate_fallback_union(self, union: np.ndarray) -> np.ndarray:
         self.registry.histogram("serve.fastpath.batch_size").observe(
             len(union)
         )
-        return self.fallback.logits(union)
+        return self._fallback_head().logits(union)
 
     def _degraded_logits(
         self, request: PredictRequest, deadline: Optional[Deadline]
     ) -> Tuple[np.ndarray, bool]:
         """Fallback rows for the request; returns (rows, from_cache)."""
-        fallback = self.fallback
+        fallback = self._fallback_head()
         with self.tracer.span("serve.fallback") as span:
             if request.features is not None:
                 span.set("mode", "features_override")
@@ -1090,7 +1179,7 @@ class InferenceEngine:
                         selected = self._batched_full(request, deadline)
                     else:
                         selected, coalesced = self._coalesced_full(
-                            request, deadline, fast_key, model
+                            request, deadline, fast_key
                         )
                 elif (
                     self._full_batcher is not None

@@ -194,6 +194,19 @@ class SparseMatrix:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
+    def inherit_fingerprint(self, parent: "SparseMatrix", change: str) -> None:
+        """Fingerprint this matrix as ``parent`` after ``change``, in O(1).
+
+        ``change`` must identify everything that differs from ``parent``
+        (see :func:`repro.perf.propcache.derive_fingerprint`).  Only when
+        ``parent``'s fingerprint is already known; otherwise this matrix
+        hashes its own buffers on first use, as usual.
+        """
+        if parent._fingerprint is not None:
+            from repro.perf.propcache import derive_fingerprint
+
+            self._fingerprint = derive_fingerprint(parent._fingerprint, change)
+
     def __repr__(self) -> str:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 

@@ -17,6 +17,7 @@ Acceptance contract under test (ISSUE 9):
   fleet broadcast with per-replica version lag in ``/readyz``.
 """
 
+import contextlib
 import json
 import signal
 import threading
@@ -42,7 +43,8 @@ from repro.graphs.mutate import (
 from repro.graphs.normalize import gcn_norm
 from repro.graphs.shard import build_shard_plan
 from repro.obs import MetricsRegistry
-from repro.perf import propcache
+from repro.perf import config as perf_config
+from repro.perf import perf_mode, propcache
 from repro.resilience import InjectedFault
 from repro.resilience.faults import CrashMidApply, TornWALWrite
 from repro.resilience.wal import GraphMutationLog, WALError
@@ -61,6 +63,7 @@ from repro.serve import (
     ValidationError,
     parse_update_request,
 )
+from repro.tensor import Tensor
 
 pytestmark = [pytest.mark.dynamic, pytest.mark.serve]
 
@@ -387,10 +390,23 @@ class TestMutationKernel:
 # ---------------------------------------------------------------------------
 
 class TestEquivalenceHarness:
-    @pytest.mark.parametrize("model_name", ["sgc", "gcn"])
+    # The default mode keeps its original ids; under perf_mode() the model
+    # reads a float32 chain keyed by its own feature buffer, which differs
+    # from the graph's float64 features (and from the fallback's chain).
+    @pytest.mark.parametrize("model_name,mode", [
+        pytest.param("sgc", "default", id="sgc"),
+        pytest.param("gcn", "default", id="gcn"),
+        pytest.param("sgc", "perf_mode", id="sgc-perf_mode"),
+        pytest.param("gcn", "perf_mode", id="gcn-perf_mode"),
+    ])
     def test_50_batches_bitwise_dense_and_sharded(
-        self, graph, tmp_path, model_name
+        self, graph, tmp_path, model_name, mode
     ):
+        context = perf_mode() if mode == "perf_mode" else contextlib.nullcontext()
+        with context:
+            self._run_50_batches(graph, tmp_path, model_name)
+
+    def _run_50_batches(self, graph, tmp_path, model_name):
         rng = np.random.default_rng(41)
         engine = make_engine(
             clone_graph(graph), model_name,
@@ -398,6 +414,8 @@ class TestEquivalenceHarness:
         )
         # Warm the store so row migration has live entries to maintain.
         engine.predict(PredictRequest(nodes=np.arange(32)))
+        cache = propcache.get_cache()
+        misses = cache.misses
         incremental = 0
         for index in range(52):
             result = engine.apply_update(random_batch(rng, engine.graph, index))
@@ -410,6 +428,10 @@ class TestEquivalenceHarness:
         assert engine.graph_version == 52
         # The stock-operator models must actually take the fast path.
         assert incremental == 52
+        if perf_config.propagation_cache_enabled():
+            # Every update patched the chain the model reads, so no
+            # re-attach or forward recomputed it.
+            assert cache.misses == misses
 
         mutated = engine.graph
         all_nodes = np.arange(mutated.num_nodes)
@@ -428,14 +450,21 @@ class TestEquivalenceHarness:
         stored = engine.logit_store.get_rows(key, all_nodes)
         assert stored is not None and np.array_equal(stored, rebuilt)
 
-        # Maintained Â^k X chain: bitwise vs dense and sharded rebuilds.
+        # Maintained Â^k X chain — the one keyed by the model's own
+        # feature tensor — bitwise vs dense and sharded rebuilds from a
+        # fresh cast of the final graph's features.
         live_op = engine.model._norm_adj
         rebuilt_op = gcn_norm(mutated.adj)
         assert np.array_equal(live_op.csr.data, rebuilt_op.csr.data)
-        features = np.ascontiguousarray(mutated.features)
-        maintained = propcache.get_cache().propagate(live_op, features, k=2)
+        features = Tensor(np.array(mutated.features)).data
         scratch = rebuilt_op.csr @ (rebuilt_op.csr @ features)
+        maintained = cache.propagate(
+            live_op, engine.model._features.data, k=2
+        )
+        assert maintained.dtype == scratch.dtype
         assert np.array_equal(maintained, scratch)
+        if model_name == "sgc":
+            assert np.array_equal(engine.model._propagated.data, scratch)
         plan = build_shard_plan(mutated, adj=rebuilt_op, num_shards=3, seed=0)
         assert np.array_equal(plan.propagate(features, 2), scratch)
 
@@ -572,6 +601,190 @@ class TestCrashRecovery:
             restarted._full_logits(PredictRequest(nodes=nodes)),
             engine._full_logits(PredictRequest(nodes=nodes)),
         )
+
+
+# ---------------------------------------------------------------------------
+# Publish atomicity, what an update costs, and the lazy fallback refit
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tencent():
+    from repro.datasets import load_dataset
+
+    return load_dataset("tencent", scale=0.004, seed=0)
+
+
+def sgc_for(graph, seed=0):
+    from repro.models import SGC
+
+    return SGC(graph.num_features, graph.num_classes, k_hops=2, seed=seed)
+
+
+def hub_batch(graph, update_id="hub-1"):
+    """One new edge on the highest-degree node plus a loud feature row."""
+    hub = int(np.argmax(graph.degrees()))
+    row = graph.adj.indices[graph.adj.indptr[hub]:graph.adj.indptr[hub + 1]]
+    other = next(v for v in range(graph.num_nodes)
+                 if v != hub and v not in set(row.tolist()))
+    values = 1e3 * np.random.default_rng(3).standard_normal(
+        (1, graph.num_features)
+    )
+    return hub, UpdateBatch(
+        update_id=update_id, add_edges=[(hub, other)],
+        feature_updates=([hub], values),
+    )
+
+
+class TestPublishAtomicity:
+    def test_predict_before_publish_serves_the_published_graph(self, tencent):
+        graph = clone_graph(tencent)
+        hub, batch = hub_batch(graph)
+        after = clone_graph(tencent)
+        apply_batch(after, batch)
+        reference = [sgc_for(g).setup(g).predict() for g in (graph, after)]
+        neighbours = graph.adj.indices[
+            graph.adj.indptr[hub]:graph.adj.indptr[hub] + 15
+        ]
+        nodes = np.unique(np.concatenate([[hub], neighbours]))
+        changed = reference[0][nodes].argmax(1) != reference[1][nodes].argmax(1)
+        assert changed.any()  # otherwise a torn read would not show
+
+        seen = {}
+
+        def hook(stage):
+            if stage == "pre-publish":
+                seen["result"] = engine.predict(PredictRequest(nodes=nodes))
+                seen["version"] = engine.graph_version
+                seen["key"] = engine._current_store_key()
+
+        engine = InferenceEngine(
+            sgc_for(graph), graph, batch_window_ms=1.0,
+            registry=MetricsRegistry(), update_fault_hook=hook,
+        )
+        engine.predict(PredictRequest(nodes=np.arange(64)))
+        engine.apply_update(batch)
+        keys = {seen["key"]: reference[0],
+                engine._current_store_key(): reference[1]}
+        # Served rows come from the graph whose version was current.
+        assert seen["version"] == 0
+        assert seen["result"]["classes"] == reference[0][nodes].argmax(1).tolist()
+        served = engine.predict(PredictRequest(nodes=nodes))
+        assert engine.graph_version == 1
+        assert served["classes"] == reference[1][nodes].argmax(1).tolist()
+        # No key holds rows computed on another graph.
+        store = engine.logit_store
+        for key in store.keys():
+            assert key in keys, key
+            clean = np.flatnonzero(~store._stale.get(
+                key, np.zeros(store._entries[key].shape[0], dtype=bool)
+            ))
+            rows = store.get_rows(key, clean)
+            np.testing.assert_allclose(rows, keys[key][clean], rtol=1e-9)
+            assert np.array_equal(rows.argmax(1), keys[key][clean].argmax(1))
+
+
+class TestUpdateCost:
+    def test_update_touches_only_what_it_changed(self, tencent, monkeypatch):
+        with perf_mode():
+            graph = clone_graph(tencent)
+            fallback = ShallowFallback(graph, k_hops=2)
+            engine = InferenceEngine(
+                sgc_for(graph), graph, fallback=fallback,
+                batch_window_ms=1.0, registry=MetricsRegistry(),
+            )
+            # A restricted miss: put_rows creates the store entry.
+            engine.predict(PredictRequest(nodes=np.arange(64)))
+            hashed, fits = [], []
+            real_hash = propcache.array_fingerprint
+            real_fit = ShallowFallback.__init__
+            monkeypatch.setattr(
+                propcache, "array_fingerprint",
+                lambda array: hashed.append(array.shape) or real_hash(array),
+            )
+            monkeypatch.setattr(
+                ShallowFallback, "__init__",
+                lambda self, *a, **k: fits.append(1) or real_fit(self, *a, **k),
+            )
+            cache = propcache.get_cache()
+            misses = cache.misses
+            hub, batch = hub_batch(graph)
+            result = engine.apply_update(batch)
+            assert result["applied"] and result["cache_powers_migrated"] == 2
+            assert cache.misses == misses
+            assert fits == [] and engine.fallback is fallback
+            assert hashed == []
+            # The operator's fingerprint was derived, not rehashed.
+            assert engine.model._norm_adj.fingerprint.startswith("d")
+
+            # The next restricted miss repairs the migrated entry in place.
+            key = engine._current_store_key()
+            entry = engine.logit_store._entries[key]
+            assert engine.logit_store.get_rows(key, [hub]) is None
+            served = engine.predict(PredictRequest(nodes=np.asarray([hub])))
+            assert served["cached"] is False
+            assert engine.logit_store._entries[key] is entry
+            assert engine.logit_store.get_rows(key, [hub]) is not None
+
+            # A frozen buffer is hashed at most once: a second sharded
+            # propagation of the same features hashes nothing.
+            plan = build_shard_plan(
+                engine.graph, adj=engine.model._norm_adj, num_shards=2, seed=0
+            )
+            caches = [propcache.PropagationCache(scope=shard.signature)
+                      for shard in plan.shards]
+            features = propcache.freeze(np.array(engine.model._features.data))
+            first = plan.propagate_chain(features, 2, caches=caches)
+            assert hashed == [features.shape]
+            second = plan.propagate_chain(features, 2, caches=caches)
+            assert hashed == [features.shape]
+            for a, b in zip(first, second):
+                assert np.array_equal(a, b)
+
+
+class TestLazyFallback:
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_first_degraded_predict_refits_on_published_graph(
+        self, graph, quantize
+    ):
+        from repro.perf.kernels import QuantizedHead
+        from repro.serve.guard import CircuitBreaker
+
+        g = clone_graph(graph)
+        breaker = CircuitBreaker(min_requests=1, cooldown_s=3600.0)
+        engine = make_engine(
+            g, fallback=ShallowFallback(g, quantize=quantize), breaker=breaker
+        )
+        # Serve degraded once so the pre-update head owns a store entry.
+        breaker.record_failure()
+        assert engine.predict(PredictRequest(nodes=np.arange(4)))["degraded"]
+        old = engine.fallback
+        assert (old.version,) in engine.logit_store.keys()
+        engine.apply_update(UpdateBatch(
+            update_id="fb-1", add_edges=[(0, 50)],
+            feature_updates=([3], np.full((1, g.num_features), 2.0)),
+        ))
+        assert engine.fallback is old  # nothing refit on the update path
+
+        nodes = np.arange(engine.graph.num_nodes)
+        result = engine.predict(PredictRequest(nodes=nodes))
+        assert result["degraded"] is True
+        head = engine.fallback
+        assert head is not old and head.graph is engine.graph
+        assert head.version != old.version
+        assert (old.version,) not in engine.logit_store.keys()
+        # Bitwise the head a from-scratch fit on the published graph gets.
+        scratch = ShallowFallback(engine.graph, quantize=quantize)
+        assert np.array_equal(head.weight, scratch.weight)
+        assert np.array_equal(head.bias, scratch.bias)
+        assert result["classes"] == scratch.full_logits().argmax(1).tolist()
+        # The fit-time audit still decides whether the int8 head is kept.
+        propagated = head._propagated
+        float_argmax = (propagated @ head.weight + head.bias).argmax(1)
+        audit = np.array_equal(
+            QuantizedHead(head.weight, head.bias).logits(propagated).argmax(1),
+            float_argmax,
+        )
+        assert (head.quantized is not None) == (quantize and audit)
 
 
 # ---------------------------------------------------------------------------

@@ -350,10 +350,52 @@ class TestPutRows:
         assert np.array_equal(got[[2, 5]], fresh)
         assert np.array_equal(got[0], full[0])
 
+    def test_handed_out_arrays_never_change(self):
+        store = LogitStore(max_entries=4)
+        full = np.random.default_rng(26).standard_normal((8, 3))
+        handed = store.put(("k",), full)
+        snapshot = handed.copy()
+        assert store.migrate(("k",), ("k2",), stale_rows=[1, 6])
+        sevens = np.full((2, 3), 7.0)
+        assert store.put_rows(("k2",), np.array([1, 6]), sevens, num_rows=8)
+        np.testing.assert_array_equal(handed, snapshot)
+        got = store.get(("k2",))  # every row clean again: handed out whole
+        np.testing.assert_array_equal(got[[1, 6]], sevens)
+        kept = got.copy()
+        store.put_rows(("k2",), np.array([0]), np.full((1, 3), -1.0), num_rows=8)
+        np.testing.assert_array_equal(got, kept)
+        np.testing.assert_array_equal(handed, snapshot)
+        assert store.get_rows(("k2",), np.array([0]))[0, 0] == -1.0
+        # The one copy made after a hand-out is private: later writes
+        # land in it without copying again.
+        copy = store._entries[("k2",)]
+        store.put_rows(("k2",), np.array([3]), np.full((1, 3), 5.0), num_rows=8)
+        assert store._entries[("k2",)] is copy
+
+    def test_private_entry_reuses_one_buffer(self):
+        store = LogitStore(max_entries=4)
+        rows = np.arange(6, dtype=float).reshape(3, 2)
+        store.put_rows(("k",), np.array([1, 4, 7]), rows, num_rows=10)
+        buffer = store._entries[("k",)]
+        for start in (0, 3):
+            nodes = np.array([start, start + 5])
+            store.put_rows(("k",), nodes, rows[:2] + start, num_rows=10)
+            assert store._entries[("k",)] is buffer
+            np.testing.assert_array_equal(
+                store.get_rows(("k",), nodes), rows[:2] + start
+            )
+        assert store.migrate(("k",), ("k2",), stale_rows=[2])
+        store.put_rows(("k2",), np.array([2]), rows[:1], num_rows=10)
+        assert store._entries[("k2",)] is buffer
+        np.testing.assert_array_equal(
+            store.get_rows(("k2",), np.array([1, 2])), [rows[0], rows[0]]
+        )
+        assert store.info()["partial_puts"] == 4
+
     def test_oversized_partial_rejected(self):
         store = LogitStore(max_entries=4, max_bytes=64)
         big = np.zeros((2, 64))
-        assert store.put_rows(("k",), np.array([0, 1]), big, num_rows=4) is None
+        assert store.put_rows(("k",), np.array([0, 1]), big, num_rows=4) is False
         assert store.info()["rejected"] == 1
 
 
