@@ -251,22 +251,17 @@ class TestShardedBaselines:
 class TestKernelBaselines:
     """The committed kernels block must prove speed *and* equivalence.
 
-    The fused-chain 1.5× floor is absolute (the PR's acceptance bar);
-    the tiled-spmm pair only asserts bitwise identity because at the
-    committed 800-node scale the tiler falls back to a single block and
-    the int32-vs-int64 delta is inside timer noise.
+    The fused-chain 1.5× floor is absolute (the PR's acceptance bar).
     """
 
     def test_committed_kernels_block_present(self):
         kernels = load_baseline("BENCH_infer.json")["kernels"]
-        assert {"settings", "tiled_spmm", "fused_power_chain",
+        assert {"settings", "fused_power_chain",
                 "restricted_eval", "quantized_fallback"} <= set(kernels)
         assert kernels["settings"]["k"] >= 3
-        assert kernels["settings"]["index_dtype"] == "int32"
 
     def test_committed_kernels_equivalence_flags(self):
         kernels = load_baseline("BENCH_infer.json")["kernels"]
-        assert kernels["tiled_spmm"]["bitwise_identical"] is True
         assert kernels["fused_power_chain"]["bitwise_identical"] is True
         assert kernels["restricted_eval"]["argmax_identical"] is True
         quant = kernels["quantized_fallback"]
@@ -295,7 +290,6 @@ class TestKernelBaselines:
         result = run_kernels_bench(repeats=15, write=False)
         assert result["paths"] == []  # write=False must not touch disk
         fresh = result["kernels"]
-        assert fresh["tiled_spmm"]["bitwise_identical"] is True
         assert fresh["fused_power_chain"]["bitwise_identical"] is True
         assert fresh["restricted_eval"]["argmax_identical"] is True
         assert fresh["quantized_fallback"]["argmax_identical"] is True

@@ -797,11 +797,11 @@ def main(argv=None) -> int:
                         "incremental-vs-full maintenance speedup (the "
                         "mutate block of BENCH_serve.json)")
     p.add_argument("--kernels", action="store_true",
-                   help="benchmark the raw kernels instead: int32 tiled "
-                        "spmm vs int64 plain, fused power chain vs "
-                        "per-power recomputation, union-restricted eval "
-                        "vs full predict, int8 fallback head (the "
-                        "kernels block of BENCH_infer.json)")
+                   help="benchmark the raw kernels instead: the "
+                        "propagation chain vs per-power recomputation, "
+                        "union-restricted eval vs full predict, int8 "
+                        "fallback head (the kernels block of "
+                        "BENCH_infer.json)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

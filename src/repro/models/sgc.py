@@ -53,18 +53,10 @@ class SGC(GNNModel):
             if cached is not None:
                 self._prop_cache[key] = cached
             else:
-                from repro.perf.config import kernels_enabled
-
-                if kernels_enabled() and self._features.data.ndim == 2:
-                    # Fused power chain: K tiled spmms, one pass.
-                    propagated = self._norm_adj.kernel.power_chain(
-                        self._features.data, self.k_hops
-                    )[-1]
-                else:
-                    propagated = self._features.data
-                    csr = self._norm_adj.csr
-                    for _ in range(self.k_hops):
-                        propagated = csr @ propagated
+                propagated = self._features.data
+                csr = self._norm_adj.csr
+                for _ in range(self.k_hops):
+                    propagated = csr @ propagated
                 self._prop_cache[key] = Tensor(propagated)
         self._propagated = self._prop_cache[key]
 

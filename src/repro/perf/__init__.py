@@ -10,9 +10,7 @@ Three cooperating pieces, all opt-in and all bit-transparent when off:
   instances.
 - :mod:`repro.perf.fused` — single-tape-node spmm→bias→activation
   kernels with in-place accumulation.
-- :mod:`repro.perf.kernels` — int32-indexed row-tiled spmm, the fused
-  multi-power chain ``[Â X, …, Â^k X]``, and the int8-quantized serving
-  head (all behind ``perf_mode(kernels=True)`` /
+- :mod:`repro.perf.kernels` — the int8-quantized serving head (behind
   ``configure(quantized_fallback=True)``).
 - :mod:`repro.perf.logitstore` — version-keyed memoization of
   full-graph inference logits (the serving fast path's warm store),
@@ -26,7 +24,6 @@ drags in the training stack.
 from repro.perf.config import (
     configure,
     fused_enabled,
-    kernels_enabled,
     perf_mode,
     propagation_cache_enabled,
     quantized_fallback_enabled,
@@ -37,16 +34,7 @@ from repro.perf.fused import (
     fused_gcn_layer,
     fused_spmm_bias_act,
 )
-from repro.perf.kernels import (
-    CSRKernel,
-    QuantizedHead,
-    compact_csr,
-    fused_power_chain,
-    fused_power_spmm,
-    tiled_spmm,
-    tiled_spmm_op,
-    widen_csr,
-)
+from repro.perf.kernels import QuantizedHead
 from repro.perf.logitstore import (
     LogitStore,
     SharedLogitStore,
@@ -68,16 +56,8 @@ __all__ = [
     "settings",
     "fused_enabled",
     "propagation_cache_enabled",
-    "kernels_enabled",
     "quantized_fallback_enabled",
-    "CSRKernel",
     "QuantizedHead",
-    "compact_csr",
-    "widen_csr",
-    "tiled_spmm",
-    "tiled_spmm_op",
-    "fused_power_chain",
-    "fused_power_spmm",
     "PropagationCache",
     "LogitStore",
     "SharedLogitStore",

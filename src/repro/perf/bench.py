@@ -44,8 +44,8 @@ from repro.perf.fused import fused_gcn_layer
 # optional "sharded" block written by `bench --sharded`.
 SCHEMA_TRAIN = "repro.bench.train/v2"
 # infer v2 = v1 (settings/modes/speedup unchanged) + the optional
-# "kernels" block from `bench --kernels` (int32 tiled spmm, fused power
-# chain, union-restricted eval, quantized fallback).
+# "kernels" block from `bench --kernels` (propagation chain,
+# union-restricted eval, quantized fallback).
 SCHEMA_INFER = "repro.bench.infer/v2"
 # serve v2 = v1 (latency/concurrent_warm/coalesce blocks unchanged) + the
 # optional "fleet" block measured over HTTP with --workers N.
@@ -55,17 +55,15 @@ SCHEMA_INFER = "repro.bench.infer/v2"
 SCHEMA_SERVE = "repro.bench.serve/v4"
 DEFAULT_MODELS = ("gcn", "sgc", "lasagne")
 
-#: perf-switch settings of the two benchmark modes.  ``kernels`` is
-#: pinned explicitly in both: ``perf_mode`` defaults it ON, and the
-#: reference mode must keep running the historical scipy code path.
+#: perf-switch settings of the two benchmark modes.
 MODES = {
     "reference": {
         "dtype": "float64", "fused": False,
-        "propagation_cache": False, "kernels": False,
+        "propagation_cache": False,
     },
     "optimized": {
         "dtype": "float32", "fused": True,
-        "propagation_cache": True, "kernels": True,
+        "propagation_cache": True,
     },
 }
 
@@ -1257,16 +1255,16 @@ def run_kernels_bench(
 ) -> dict:
     """Benchmark the raw kernels (``bench --kernels``).
 
-    Four measurements, each paired with its equivalence verdict so the
+    Three measurements, each paired with its equivalence verdict so the
     committed document *proves* the speedups are for the same bits:
 
-    1. int64 plain spmm vs int32 row-tiled spmm (bitwise flag);
-    2. per-power recomputation of ``[Â X … Â^k X]`` from ``X``
-       (``k(k+1)/2`` spmms) vs the fused chain (``k`` spmms) — the
-       multi-power pattern SGC/MixHop/NGCN and the sharded stitch pay;
-    3. union-restricted micro-batch eval (SGC head over ``batch`` ≪ N
+    1. per-power recomputation of ``[Â X … Â^k X]`` from ``X``
+       (``k(k+1)/2`` spmms) vs the chain (``k`` spmms): a cold
+       :meth:`PropagationCache.propagate_chain` over a frozen ``X``,
+       which is hashed once, before timing;
+    2. union-restricted micro-batch eval (SGC head over ``batch`` ≪ N
        rows) vs a full-matrix ``predict()`` (argmax-identity flag);
-    4. the int8-quantized fallback head vs the float head (argmax
+    3. the int8-quantized fallback head vs the float head (argmax
        identity over every node, byte sizes, max weight error).
 
     Results land under a ``"kernels"`` key merged into the existing
@@ -1275,13 +1273,7 @@ def run_kernels_bench(
     from repro.datasets import load_dataset
     from repro.graphs.normalize import gcn_norm
     from repro.models.sgc import SGC
-    from repro.perf.kernels import (
-        QuantizedHead,
-        compact_csr,
-        fused_power_chain,
-        tiled_spmm,
-        widen_csr,
-    )
+    from repro.perf.kernels import QuantizedHead
     from repro.serve.engine import ShallowFallback
 
     if k < 1:
@@ -1290,25 +1282,9 @@ def run_kernels_bench(
     rng = np.random.default_rng(seed)
     graph = load_dataset(dataset, scale=scale, seed=seed)
     adj = gcn_norm(graph.adj)
-    x = np.ascontiguousarray(graph.features)
+    x = propcache.freeze(np.array(graph.features, order="C"))
 
-    wide = widen_csr(adj.csr)     # the historical int64 layout
-    narrow = compact_csr(adj.csr)  # the kernel's int32 layout
-
-    # -- 1. plain int64 spmm vs tiled int32 spmm ------------------------
-    plain_timer = registry.timer("kernels.spmm_plain")
-    reference = None
-    for _ in range(repeats):
-        with plain_timer:
-            reference = wide @ x
-    tiled_timer = registry.timer("kernels.spmm_tiled")
-    tiled = None
-    for _ in range(repeats):
-        with tiled_timer:
-            tiled = tiled_spmm(narrow, x)
-    spmm_bitwise = bool(np.array_equal(reference, tiled))
-
-    # -- 2. per-power recomputation vs the fused chain ------------------
+    # -- 1. per-power recomputation vs the chain ------------------------
     sequential_timer = registry.timer("kernels.powers_sequential")
     sequential = []
     for _ in range(repeats):
@@ -1317,18 +1293,20 @@ def run_kernels_bench(
             for power in range(1, k + 1):
                 current = x
                 for _ in range(power):
-                    current = wide @ current
+                    current = adj.csr @ current
                 sequential.append(current)
     fused_timer = registry.timer("kernels.powers_fused")
-    fused = []
+    # X is frozen, so this first call hashes X (and Â) for every cold
+    # cache that follows.
+    fused = propcache.PropagationCache().propagate_chain(adj, x, k)
     for _ in range(repeats):
         with fused_timer:
-            fused = fused_power_chain(narrow, x, k)
+            fused = propcache.PropagationCache().propagate_chain(adj, x, k)
     chain_bitwise = bool(
         all(np.array_equal(a, b) for a, b in zip(sequential, fused))
     )
 
-    # -- 3. union-restricted eval vs full-matrix predict ----------------
+    # -- 2. union-restricted eval vs full-matrix predict ----------------
     model = SGC(
         graph.num_features, graph.num_classes, k_hops=min(k, 2), seed=seed
     ).setup(graph)
@@ -1350,7 +1328,7 @@ def run_kernels_bench(
         np.array_equal(restricted.argmax(axis=1), full[union].argmax(axis=1))
     )
 
-    # -- 4. quantized fallback head vs float head -----------------------
+    # -- 3. quantized fallback head vs float head -----------------------
     float_fallback = ShallowFallback(graph, quantize=False)
     quant_head = QuantizedHead(float_fallback.weight, float_fallback.bias)
     float_logits = float_fallback.full_logits()
@@ -1364,8 +1342,6 @@ def run_kernels_bench(
         float_fallback.weight.nbytes + float_fallback.bias.nbytes
     )
 
-    plain_stats = _summary(plain_timer.histogram)
-    tiled_stats = _summary(tiled_timer.histogram)
     sequential_stats = _summary(sequential_timer.histogram)
     fused_stats = _summary(fused_timer.histogram)
     full_stats = _summary(full_timer.histogram)
@@ -1381,14 +1357,6 @@ def run_kernels_bench(
             "num_nodes": graph.num_nodes,
             "num_edges": int(graph.adj.nnz // 2),
             "num_features": graph.num_features,
-            "tile_rows": adj.kernel.tile_rows,
-            "index_dtype": str(narrow.indices.dtype),
-        },
-        "tiled_spmm": {
-            "plain_int64": plain_stats,
-            "tiled_int32": tiled_stats,
-            "speedup": _speedup(plain_stats["mean_s"], tiled_stats["mean_s"]),
-            "bitwise_identical": spmm_bitwise,
         },
         "fused_power_chain": {
             "sequential": sequential_stats,
@@ -1446,19 +1414,13 @@ def format_kernels_report(result: dict) -> str:
     """Human-readable summary of a :func:`run_kernels_bench` result."""
     block = result["kernels"]
     s = block["settings"]
-    spmm = block["tiled_spmm"]
     chain = block["fused_power_chain"]
     restricted = block["restricted_eval"]
     quant = block["quantized_fallback"]
     lines = [
         f"kernels bench: {s['dataset']} ({s['num_nodes']:,} nodes, "
-        f"{s['num_edges']:,} edges), k={s['k']}, "
-        f"tile_rows={s['tile_rows']}, indices={s['index_dtype']}",
-        f"  tiled int32 spmm: {1e6 * spmm['tiled_int32']['mean_s']:.1f} µs "
-        f"vs plain int64 {1e6 * spmm['plain_int64']['mean_s']:.1f} µs "
-        f"-> {spmm['speedup'] or 0:.2f}x "
-        f"(bitwise={spmm['bitwise_identical']})",
-        f"  fused power chain ({chain['spmms_fused']} spmms vs "
+        f"{s['num_edges']:,} edges), k={s['k']}",
+        f"  power chain ({chain['spmms_fused']} spmms vs "
         f"{chain['spmms_sequential']}): "
         f"{1000 * chain['fused']['mean_s']:.2f} ms vs "
         f"{1000 * chain['sequential']['mean_s']:.2f} ms "

@@ -1,280 +1,32 @@
-"""Raw-speed CSR kernels: int32 indices, row tiling, fused power chains.
+"""The int8-quantized serving fallback head.
 
-Every hot path in this repository reduces to repeated sparse–dense
-products ``Â^p X``.  This module is the kernel-level backend for them:
+:class:`QuantizedHead` stores per-output-column scale/zero-point int8
+weights for the serving fallback head; the dequantization error is
+bounded by ``scale/2`` per weight, which keeps degraded logits
+argmax-identical on the tier-1 datasets (verified at fit time by
+:class:`repro.serve.engine.ShallowFallback`).
 
-- **int32 compaction** (:func:`compact_csr`): index arrays are half the
-  bytes of int64, which halves the index traffic of every spmm.  Any
-  matrix whose dimensions and nnz fit ``int32`` is compacted once and
-  reused; larger matrices keep their wide indices untouched.
-- **row-tiled spmm** (:func:`tiled_spmm`): the output is produced one
-  row tile at a time through scipy's own ``csr_matvecs`` routine, so a
-  tile's slice of ``X`` and the output block stay cache-resident across
-  the tile's nonzero band instead of streaming the whole ``(N, F)``
-  operand per BLAS-sized chunk.  Per-row accumulation order is exactly
-  scipy's, so the result is **bitwise-identical** to ``csr @ x``.
-- **fused multi-power chain** (:func:`fused_power_chain`): computes
-  ``[Â X, Â² X, …, Â^k X]`` in one pass — each power feeds the next, so
-  the chain costs ``k`` spmms where recomputing every power from ``X``
-  costs ``k(k+1)/2``.  SGC precompute, MixHop/NGCN operators, the
-  propagation cache, and the sharded stitch all consume it.
-- **int8 affine quantization** (:class:`QuantizedHead`): per-output-
-  column scale/zero-point weights for the serving fallback head; the
-  dequantization error is bounded by ``scale/2`` per weight, which keeps
-  degraded logits argmax-identical on the tier-1 datasets (verified at
-  fit time by :class:`repro.serve.engine.ShallowFallback`).
-
-The autograd faces (:func:`tiled_spmm_op`, :func:`fused_power_spmm`)
-wrap the raw kernels in single tape nodes; gradients flow only into the
-dense operand, mirroring :func:`repro.tensor.sparse.spmm`.
-
-Everything here is opt-in behind ``perf_mode(kernels=True)`` /
-``configure(kernels=True)`` — with the switch off, no caller's bytes
-change.  (The kernels are bitwise-identical anyway, but the reference
-path stays literally the same code.)
+There is no separate spmm kernel: every sparse product ``Â @ X`` in
+the repository is plain scipy ``csr @ x``.  A row-tiled int32 variant
+gave the same bits and was no faster on any benchmark graph (see
+docs/performance.md, "Raw kernels").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.tensor.tensor import Tensor, _as_tensor
-
-try:  # scipy >= 1.8 keeps the C routines here; None falls back to @.
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover - ancient scipy
-    _sparsetools = None
-
-__all__ = [
-    "INT32_MAX",
-    "DEFAULT_TILE_ROWS",
-    "compact_csr",
-    "widen_csr",
-    "tiled_spmm",
-    "fused_power_chain",
-    "CSRKernel",
-    "tiled_spmm_op",
-    "fused_power_spmm",
-    "QuantizedHead",
-]
-
-INT32_MAX = np.iinfo(np.int32).max
-
-#: Rows per tile.  Big enough that the per-tile Python/FFI overhead is
-#: noise next to the tile's nonzero work, small enough that the output
-#: block plus the touched slice of ``X`` fit comfortably in L2.
-DEFAULT_TILE_ROWS = 4096
+__all__ = ["QuantizedHead"]
 
 
-def compact_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """An int32-indexed view-sharing copy of ``csr``, when representable.
-
-    The data buffer is shared (never copied); only wide index arrays are
-    downcast.  Matrices whose nnz or column count exceed ``INT32_MAX``
-    are returned unchanged — int64 indices are then load-bearing.
-    """
-    if csr.indices.dtype == np.int32 and csr.indptr.dtype == np.int32:
-        return csr
-    if csr.nnz > INT32_MAX or max(csr.shape) > INT32_MAX:
-        return csr
-    out = sp.csr_matrix(csr.shape, dtype=csr.dtype)
-    out.data = csr.data
-    out.indices = csr.indices.astype(np.int32)
-    out.indptr = csr.indptr.astype(np.int32)
-    return out
-
-
-def widen_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """An int64-indexed copy (the historical layout; used by benchmarks
-    and equivalence tests as the reference operand)."""
-    out = sp.csr_matrix(csr.shape, dtype=csr.dtype)
-    out.data = csr.data
-    out.indices = csr.indices.astype(np.int64)
-    out.indptr = csr.indptr.astype(np.int64)
-    return out
-
-
-def _tile_matvecs(
-    csr: sp.csr_matrix, x: np.ndarray, out: np.ndarray, start: int, stop: int
-) -> None:
-    """``out[start:stop] += csr[start:stop] @ x`` via scipy's C routine."""
-    indptr = csr.indptr
-    lo = int(indptr[start])
-    hi = int(indptr[stop])
-    tile_indptr = indptr[start : stop + 1] - indptr[start]
-    _sparsetools.csr_matvecs(
-        stop - start,
-        csr.shape[1],
-        x.shape[1],
-        tile_indptr,
-        csr.indices[lo:hi],
-        csr.data[lo:hi],
-        x.ravel(),
-        out[start:stop].ravel(),
-    )
-
-
-def tiled_spmm(
-    csr: sp.csr_matrix,
-    x: np.ndarray,
-    tile_rows: Optional[int] = None,
-) -> np.ndarray:
-    """``csr @ x`` computed one row tile at a time.
-
-    Bitwise-identical to scipy's product: ``csr_matvecs`` accumulates
-    each output row independently over that row's stored nonzeros in
-    stored order, and tiling only partitions *which rows* a call covers.
-    Falls back to plain ``csr @ x`` for 1-D operands, tiny matrices, or
-    when scipy's C routines are unreachable.
-    """
-    if tile_rows is None:
-        tile_rows = DEFAULT_TILE_ROWS
-    n = csr.shape[0]
-    x = np.ascontiguousarray(x)
-    if (
-        _sparsetools is None
-        or x.ndim != 2
-        or tile_rows <= 0
-        or n <= tile_rows
-    ):
-        return csr @ x
-    out = np.zeros((n, x.shape[1]), dtype=np.result_type(csr.dtype, x.dtype))
-    if out.dtype != x.dtype:
-        x = x.astype(out.dtype)
-    if csr.data.dtype != out.dtype:  # mixed dtypes: let scipy upcast
-        return csr @ x
-    for start in range(0, n, tile_rows):
-        _tile_matvecs(csr, x, out, start, min(start + tile_rows, n))
-    return out
-
-
-def fused_power_chain(
-    csr: sp.csr_matrix,
-    x: np.ndarray,
-    k: int,
-    tile_rows: Optional[int] = None,
-) -> List[np.ndarray]:
-    """``[Â x, Â² x, …, Â^k x]`` in one pass: each power feeds the next.
-
-    ``k`` spmms total, versus ``k(k+1)/2`` when every power is recomputed
-    from ``x`` — the fusion the multi-power consumers (SGC, MixHop/NGCN,
-    ``ShardPlan.propagate``) were paying for per power.  Each output is
-    bitwise-identical to the sequential computation because the chain
-    *is* the sequential recurrence, just without re-reading ``Â`` per
-    consumer.
-    """
-    if k < 1:
-        raise ValueError(f"power chain needs k >= 1, got {k}")
-    outs: List[np.ndarray] = []
-    current = x
-    for _ in range(k):
-        current = tiled_spmm(csr, current, tile_rows=tile_rows)
-        outs.append(current)
-    return outs
-
-
-class CSRKernel:
-    """One sparse operand prepared for the fast kernels.
-
-    Wraps a CSR matrix with its int32-compacted layout and a lazily
-    built transpose kernel (for gradient products).  Construction is
-    cheap — at most two index-array casts — and instances are cached on
-    :class:`repro.tensor.sparse.SparseMatrix`, so compaction happens
-    once per operand, not once per product.
-    """
-
-    __slots__ = ("csr", "tile_rows", "_transpose")
-
-    def __init__(
-        self, csr: sp.csr_matrix, tile_rows: Optional[int] = None
-    ) -> None:
-        self.csr = compact_csr(csr)
-        self.tile_rows = tile_rows if tile_rows is not None else DEFAULT_TILE_ROWS
-        self._transpose: Optional["CSRKernel"] = None
-
-    @property
-    def T(self) -> "CSRKernel":
-        if self._transpose is None:
-            transpose = CSRKernel(
-                self.csr.T.tocsr(), tile_rows=self.tile_rows
-            )
-            transpose._transpose = self
-            self._transpose = transpose
-        return self._transpose
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``csr @ x`` through the tiled kernel (bitwise == scipy's)."""
-        return tiled_spmm(self.csr, x, tile_rows=self.tile_rows)
-
-    def power_chain(self, x: np.ndarray, k: int) -> List[np.ndarray]:
-        """Fused ``[Â x, …, Â^k x]`` (see :func:`fused_power_chain`)."""
-        return fused_power_chain(self.csr, x, k, tile_rows=self.tile_rows)
-
-    def __repr__(self) -> str:
-        return (
-            f"CSRKernel(shape={self.csr.shape}, nnz={self.csr.nnz}, "
-            f"index_dtype={self.csr.indices.dtype}, tile_rows={self.tile_rows})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Autograd faces
-# ----------------------------------------------------------------------
-def _kernel_of(adj) -> CSRKernel:
-    """The :class:`CSRKernel` for a SparseMatrix or raw CSR operand."""
-    kernel = getattr(adj, "kernel", None)
-    if isinstance(kernel, CSRKernel):
-        return kernel
-    if isinstance(adj, CSRKernel):
-        return adj
-    return CSRKernel(adj.csr if hasattr(adj, "csr") else adj)
-
-
-def tiled_spmm_op(adj, h) -> Tensor:
-    """Autograd ``adj @ h`` through the tiled int32 kernel.
-
-    One tape node; the gradient ``Âᵀ grad`` runs through the cached
-    transpose kernel.  Forward bits match :func:`repro.tensor.sparse.spmm`
-    exactly (tiling preserves per-row accumulation order).
-    """
-    kernel = _kernel_of(adj)
-    h = _as_tensor(h)
-    out_data = kernel.matmul(h.data)
-    if not h._needs_tape():
-        return Tensor(out_data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        h.accumulate_grad(kernel.T.matmul(grad))
-
-    return Tensor(out_data, True, (h,), backward_fn, name="tiled_spmm")
-
-
-def fused_power_spmm(adj, h, k: int) -> Tensor:
-    """Autograd ``Â^k h`` as ONE tape node over the fused power chain.
-
-    The unfused equivalent builds ``k`` spmm tape nodes and ``k - 1``
-    intermediate gradient buffers; here the backward applies the
-    transpose kernel ``k`` times in a tight loop.  Gradients flow only
-    into ``h`` (``Â`` is a constant of the problem).
-    """
-    if k < 1:
-        raise ValueError(f"fused power needs k >= 1, got {k}")
-    kernel = _kernel_of(adj)
-    h = _as_tensor(h)
-    out_data = kernel.power_chain(h.data, k)[-1]
-    if not h._needs_tape():
-        return Tensor(out_data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        transpose = kernel.T
-        for _ in range(k):
-            grad = transpose.matmul(grad)
-        h.accumulate_grad(grad)
-
-    return Tensor(out_data, True, (h,), backward_fn, name="fused_power_spmm")
+def tiled_spmm(csr: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``csr @ x``.  Nothing in the package calls this; it stays only
+    because ``perfbench/tracing.py`` binds ``repro.perf.kernels.tiled_spmm``
+    by name and cannot start without it."""
+    return csr @ x
 
 
 # ----------------------------------------------------------------------

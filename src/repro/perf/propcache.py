@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.perf.config import kernels_enabled
 from repro.tensor.sparse import SparseMatrix
 
 
@@ -123,16 +122,6 @@ def derive_fingerprint(parent: str, change: str) -> str:
     return "d" + digest.hexdigest()
 
 
-def _apply(adj: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """One propagation step ``Â @ dense`` — through the int32 tiled
-    kernel when ``perf_mode(kernels=True)`` is active.  Bitwise-
-    identical either way, so cached entries stay valid across the
-    switch."""
-    if kernels_enabled() and dense.ndim == 2:
-        return adj.kernel.matmul(dense)
-    return adj.csr @ dense
-
-
 class PropagationCache:
     """LRU cache of ``Â^k X`` products and ``Â^p`` sparse powers.
 
@@ -179,49 +168,61 @@ class PropagationCache:
         """Return ``Â^k X`` as a constant float array, memoized.
 
         Intermediate powers are cached too, so asking for ``k=2`` after
-        ``k=1`` performs a single additional spmm.  The result must be
-        treated as read-only by callers (it is shared).
+        ``k=1`` performs a single additional spmm, and a cached ``Â^k X``
+        costs none even when lower powers were evicted.  The result must
+        be treated as read-only by callers (it is shared).
         """
-        return self.propagate_chain(adj, features, k)[-1]
+        return self.propagate_chain(adj, features, k, lowest=k)[0]
 
     def propagate_chain(
-        self, adj: SparseMatrix, features: np.ndarray, k: int = 1
+        self,
+        adj: SparseMatrix,
+        features: np.ndarray,
+        k: int = 1,
+        lowest: int = 1,
     ) -> List[np.ndarray]:
-        """The fused multi-power chain ``[Â X, Â² X, …, Â^k X]``, memoized.
+        """The multi-power chain ``[Â^lowest X, …, Â^k X]``, memoized.
 
         One pass over the matrix: the walk starts from the deepest cached
         power and each computed power feeds the next, so a cold call
         costs ``k`` spmms (not ``k(k+1)/2`` as recomputing every power
-        from ``X`` would) and a warm call costs none.  Every entry in the
-        returned list is a shared read-only cache entry.
+        from ``X`` would) and a warm call costs none.  Powers below the
+        walk's start come from the cache; one that LRU evicted meanwhile
+        (or that did not fit, when ``k`` exceeds the capacity) is
+        recomputed from the power below it — the same product the
+        sequential chain computes, so the bits agree — and counted as a
+        miss.  Every entry in the returned list is read-only.
         """
         if k < 1:
             raise ValueError(f"propagation power must be >= 1, got {k}")
+        if not 1 <= lowest <= k:
+            raise ValueError(
+                f"lowest power must be in [1, {k}], got {lowest}"
+            )
         features = np.ascontiguousarray(features)
         base_key = (self.scope, adj.fingerprint, fingerprint(features))
         with self._lock:
+            # chain[p] is Â^p X; chain[0] is X itself.
+            chain: List[Optional[np.ndarray]] = [features] + [None] * k
             # Walk down from k to the deepest cached power.
             start = k
-            result = None
             while start > 0:
-                cached = self._get(base_key + (start,))
-                if cached is not None:
-                    result = cached
+                chain[start] = self._get(base_key + (start,))
+                if chain[start] is not None:
                     break
                 start -= 1
-            if result is None:
-                result = features
             for power in range(start + 1, k + 1):
-                result = _apply(adj, result)
-                result.setflags(write=False)
-                self._put(base_key + (power,), result)
-            # The chain below ``start`` is warm by construction (every
-            # cold power was just inserted); collect it without another
-            # walk so hit/miss accounting reflects one logical request.
-            return [
-                self._entries[base_key + (power,)]
-                for power in range(1, k + 1)
-            ]
+                chain[power] = adj.csr @ chain[power - 1]
+                chain[power].setflags(write=False)
+                self._put(base_key + (power,), chain[power])
+            if lowest < start:
+                for power in range(1, start):
+                    chain[power] = self._entries.get(base_key + (power,))
+                    if chain[power] is None:
+                        self.misses += 1
+                        chain[power] = adj.csr @ chain[power - 1]
+                        chain[power].setflags(write=False)
+            return chain[lowest:]  # type: ignore[return-value]
 
     def adjacency_power(self, adj: SparseMatrix, k: int) -> SparseMatrix:
         """Return ``Â^k`` as a :class:`SparseMatrix`, memoized.

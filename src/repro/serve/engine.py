@@ -447,9 +447,7 @@ class InferenceEngine:
         """The store key for the active (model, graph, perf) state.
 
         The perf-mode switches are part of the key because they change
-        the computed bits — except the ``kernels`` switch, which is
-        bitwise-identical by construction and therefore deliberately
-        *not* keyed: entries computed either way are interchangeable.
+        the computed bits.
         """
         if not self.fastpath or self.logit_store is None:
             return None

@@ -29,9 +29,10 @@ from repro.tensor.tensor import Tensor, _as_tensor
 #: Largest value an int32 index array can address.
 _INT32_MAX = np.iinfo(np.int32).max
 
-#: Index dtypes the kernels understand.  int32 is the compact layout
-#: (half the index traffic of int64); anything else — float indices,
-#: int16, uint32 — is a construction error, not something to coerce.
+#: Index dtypes scipy's CSR products accept.  ``gcn_norm`` emits int32;
+#: int64 gives the same bits at no measured cost; anything else — float
+#: indices, int16, uint32 — is a construction error, not something to
+#: coerce.
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 
@@ -109,7 +110,7 @@ class SparseMatrix:
         (:func:`repro.tensor.dtype.get_default_dtype`).
     """
 
-    __slots__ = ("csr", "_transpose", "_fingerprint", "_kernel")
+    __slots__ = ("csr", "_transpose", "_fingerprint")
 
     def __init__(self, matrix: Union[sp.spmatrix, np.ndarray]) -> None:
         dtype = get_default_dtype()
@@ -126,7 +127,6 @@ class SparseMatrix:
         self.csr = csr.astype(dtype, copy=False)
         self._transpose: Optional["SparseMatrix"] = None
         self._fingerprint: Optional[str] = None
-        self._kernel = None
 
     @property
     def shape(self):
@@ -152,20 +152,6 @@ class SparseMatrix:
             transpose._transpose = self
             self._transpose = transpose
         return self._transpose
-
-    @property
-    def kernel(self):
-        """The :class:`repro.perf.kernels.CSRKernel` for this operand.
-
-        Built lazily on first access and cached — the int32 compaction
-        and (on backward paths) the transposed kernel are paid once per
-        matrix, never once per product.
-        """
-        if self._kernel is None:
-            from repro.perf.kernels import CSRKernel
-
-            self._kernel = CSRKernel(self.csr)
-        return self._kernel
 
     @property
     def fingerprint(self) -> str:
@@ -233,20 +219,10 @@ class SparseMatrix:
 def spmm(a: SparseMatrix, h: Tensor) -> Tensor:
     """Sparse–dense product ``a @ h`` with gradient ``aᵀ @ grad``.
 
-    ``a`` is treated as a constant; gradients flow only to ``h``.  Under
-    ``perf_mode(kernels=True)`` the forward runs through the int32
-    row-tiled kernel — bitwise-identical output (tiling preserves each
-    row's accumulation order), just less index traffic.  The backward is
-    untouched in both modes so training trajectories stay byte-stable
-    across the switch.
+    ``a`` is treated as a constant; gradients flow only to ``h``.
     """
-    from repro.perf import config as perf_config
-
     h = _as_tensor(h)
-    if perf_config.kernels_enabled() and h.data.ndim == 2:
-        out_data = a.kernel.matmul(h.data)
-    else:
-        out_data = a.csr @ h.data
+    out_data = a.csr @ h.data
     if not h._needs_tape():
         return Tensor(out_data)
 

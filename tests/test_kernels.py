@@ -1,16 +1,15 @@
-"""The raw-kernel layer: int32 tiled spmm, fused powers, int8 head.
+"""Sparse-product equivalence, the int8 head, and restricted eval.
 
-Every optimized code path in :mod:`repro.perf.kernels` ships with an
-equivalence proof, and these tests pin each one down empirically:
+Every sparse product in the repository is plain scipy ``csr @ x``;
+these tests pin down the properties the rest of the system leans on:
 
-- ``compact_csr`` / ``widen_csr`` round-trip without copying data, and
-  tiled int32 spmm is **bitwise** identical to the plain int64 product
-  (scipy's per-row accumulation order is tiling-invariant);
-- ``fused_power_chain`` reproduces every per-power product exactly, and
-  the cached :meth:`PropagationCache.propagate_chain` /
-  ``adjacency_power`` walk-downs stay bitwise against the direct chain;
+- scipy's product gives the same bits for int32 and int64 index arrays
+  (``gcn_norm`` emits int32; hand-built operands may be int64);
+- the cached :meth:`PropagationCache.propagate_chain` reproduces every
+  per-power product exactly, cold or warm, and the ``adjacency_power``
+  walk-down stays bitwise against the direct product;
 - sharded ``propagate_chain`` matches per-power ``propagate`` and the
-  dense chain, kernels on or off;
+  dense chain, with or without per-shard caches;
 - ``SparseMatrix.fingerprint`` cannot collide across index widths even
   for crafted byte-identical buffers (the regression that motivated
   digesting index dtypes);
@@ -34,20 +33,11 @@ from repro.datasets.splits import per_class_split
 from repro.graphs import Graph, build_shard_plan, gcn_norm
 from repro.models import build_model
 from repro.obs import MetricsRegistry
-from repro.perf import LogitStore, perf_mode
-from repro.perf.config import configure, kernels_enabled
-from repro.perf.kernels import (
-    DEFAULT_TILE_ROWS,
-    CSRKernel,
-    QuantizedHead,
-    compact_csr,
-    fused_power_chain,
-    tiled_spmm,
-    widen_csr,
-)
+from repro.perf import LogitStore
+from repro.perf.kernels import QuantizedHead
 from repro.perf.propcache import PropagationCache
 from repro.serve import InferenceEngine, PredictRequest, ShallowFallback
-from repro.tensor import SparseMatrix, Tensor, spmm
+from repro.tensor import SparseMatrix
 from repro.tensor.sparse import _validate_csr
 
 pytestmark = pytest.mark.kernels
@@ -59,6 +49,15 @@ def random_csr(n=60, cols=None, density=0.1, seed=0, dtype=np.float64):
         (n, cols or n)
     )
     return sp.csr_matrix(dense.astype(dtype))
+
+
+def with_index_dtype(csr, dtype):
+    """A copy of ``csr`` sharing its data, with ``dtype`` index arrays."""
+    out = sp.csr_matrix(csr.shape, dtype=csr.dtype)
+    out.data = csr.data
+    out.indices = csr.indices.astype(dtype)
+    out.indptr = csr.indptr.astype(dtype)
+    return out
 
 
 def random_graph(n=90, seed=3):
@@ -74,121 +73,58 @@ def random_graph(n=90, seed=3):
 
 
 # ---------------------------------------------------------------------------
-# Index-width plumbing
+# Index widths
 # ---------------------------------------------------------------------------
 
 class TestIndexWidths:
-    def test_compact_downcasts_and_shares_data(self):
-        wide = widen_csr(random_csr())
-        assert wide.indices.dtype == np.int64
-        narrow = compact_csr(wide)
-        assert narrow.indices.dtype == np.int32
-        assert narrow.indptr.dtype == np.int32
-        # The value buffer is shared, not copied.
-        assert narrow.data is wide.data
-        assert (narrow != wide).nnz == 0
-
-    def test_compact_is_idempotent(self):
-        narrow = compact_csr(random_csr())
-        again = compact_csr(narrow)
-        assert again.indices is narrow.indices
-
     def test_int32_vs_int64_spmm_bitwise(self):
         csr = random_csr(seed=1)
         x = np.random.default_rng(2).standard_normal((csr.shape[1], 7))
-        assert np.array_equal(compact_csr(csr) @ x, widen_csr(csr) @ x)
+        narrow = with_index_dtype(csr, np.int32)
+        wide = with_index_dtype(csr, np.int64)
+        assert narrow.indices.dtype == np.int32
+        assert wide.indices.dtype == np.int64
+        assert np.array_equal(narrow @ x, wide @ x)
 
 
-class TestTiledSpmm:
-    @pytest.mark.parametrize("tile_rows", [1, 7, 16, 64, DEFAULT_TILE_ROWS])
-    def test_tiled_bitwise_identical(self, tile_rows):
-        csr = compact_csr(random_csr(n=50, seed=4))
-        x = np.random.default_rng(5).standard_normal((50, 6))
-        assert np.array_equal(tiled_spmm(csr, x, tile_rows), csr @ x)
-
-    def test_float32_and_1d_operands(self):
-        csr = compact_csr(random_csr(n=40, seed=6, dtype=np.float32))
-        x2 = np.random.default_rng(7).standard_normal((40, 3)).astype(np.float32)
-        v = np.random.default_rng(8).standard_normal(40).astype(np.float32)
-        assert np.array_equal(tiled_spmm(csr, x2, 8), csr @ x2)
-        assert np.array_equal(tiled_spmm(csr, v, 8), csr @ v)
-
-    def test_rectangular(self):
-        csr = compact_csr(random_csr(n=30, cols=45, seed=9))
-        x = np.random.default_rng(10).standard_normal((45, 4))
-        assert np.array_equal(tiled_spmm(csr, x, 8), csr @ x)
-
+# ---------------------------------------------------------------------------
+# The one power chain: PropagationCache.propagate_chain
+# ---------------------------------------------------------------------------
 
 class TestFusedPowerChain:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_matches_sequential_powers(self, k):
-        csr = compact_csr(random_csr(n=40, seed=11))
+        adj = SparseMatrix(random_csr(n=40, seed=11))
         x = np.random.default_rng(12).standard_normal((40, 5))
-        chain = fused_power_chain(csr, x, k, tile_rows=16)
+        chain = PropagationCache().propagate_chain(adj, x, k)
         assert len(chain) == k
         expected = x
         for power in range(k):
-            expected = csr @ expected
+            expected = adj.csr @ expected
             assert np.array_equal(chain[power], expected)
-
-    def test_kernel_cache_on_sparse_matrix(self):
-        adj = SparseMatrix(random_csr(n=30, seed=13))
-        kernel = adj.kernel
-        assert kernel is adj.kernel  # cached, built once
-        assert isinstance(kernel, CSRKernel)
-        assert kernel.T.T is kernel  # transpose round-trips
-        x = np.random.default_rng(14).standard_normal((30, 4))
-        assert np.array_equal(kernel.matmul(x), adj.csr @ x)
-        chain = kernel.power_chain(x, 3)
-        assert np.array_equal(chain[-1], adj.csr @ (adj.csr @ (adj.csr @ x)))
 
 
 # ---------------------------------------------------------------------------
-# Kernel routing through spmm / caches / shards stays bitwise
+# Cached and sharded chains stay bitwise
 # ---------------------------------------------------------------------------
 
 class TestKernelRouting:
-    def test_spmm_forward_identical_with_kernels(self):
-        adj = SparseMatrix(random_csr(n=35, seed=15))
-        h = Tensor(
-            np.random.default_rng(16).standard_normal((35, 6)),
-            requires_grad=True,
-        )
-        with perf_mode(dtype="float64", fused=False,
-                       propagation_cache=False, kernels=False):
-            reference = spmm(adj, h)
-            reference.sum().backward()
-            ref_grad = h.grad.copy()
-        h.zero_grad()
-        configure(kernels=True)
-        try:
-            assert kernels_enabled()
-            routed = spmm(adj, h)
-            routed.sum().backward()
-        finally:
-            configure(kernels=False)
-        assert np.array_equal(routed.data, reference.data)
-        # The backward stays on the historical CSC path in every mode.
-        assert np.array_equal(h.grad, ref_grad)
-
-    @pytest.mark.parametrize("kernels", [False, True])
-    def test_propcache_chain_bitwise(self, kernels):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_propcache_chain_bitwise(self, warm):
         adj = SparseMatrix(random_csr(n=30, seed=17))
         x = np.random.default_rng(18).standard_normal((30, 4))
         expected, acc = [], x
         for _ in range(3):
             acc = adj.csr @ acc
             expected.append(acc)
-        configure(kernels=kernels)
-        try:
-            cache = PropagationCache()
-            chain = cache.propagate_chain(adj, x, k=3)
-            for got, want in zip(chain, expected):
-                assert np.array_equal(got, want)
-            # propagate() reuses the chain-warmed entries.
-            assert np.array_equal(cache.propagate(adj, x, k=2), expected[1])
-        finally:
-            configure(kernels=False)
+        cache = PropagationCache()
+        if warm:  # the walk then starts from a cached Â X
+            cache.propagate(adj, x, k=1)
+        chain = cache.propagate_chain(adj, x, k=3)
+        for got, want in zip(chain, expected):
+            assert np.array_equal(got, want)
+        # propagate() reuses the chain-warmed entries.
+        assert np.array_equal(cache.propagate(adj, x, k=2), expected[1])
 
     def test_adjacency_power_walkdown_bitwise(self):
         adj = SparseMatrix(random_csr(n=25, seed=19))
@@ -203,8 +139,8 @@ class TestKernelRouting:
         direct4 = adj.power(4)
         assert np.array_equal(rewalked.csr.data, direct4.csr.data)
 
-    @pytest.mark.parametrize("kernels", [False, True])
-    def test_shard_chain_bitwise(self, kernels):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_shard_chain_bitwise(self, cached):
         g = random_graph()
         adj = gcn_norm(g.adj)
         plan = build_shard_plan(g, adj=adj, num_shards=3, max_power=3)
@@ -212,16 +148,15 @@ class TestKernelRouting:
         for _ in range(3):
             dense = adj.csr @ dense
             expected.append(dense)
-        configure(kernels=kernels)
-        try:
-            chain = plan.propagate_chain(g.features, 3)
-            for got, want in zip(chain, expected):
-                assert np.array_equal(got, want)
-            assert np.array_equal(
-                plan.propagate(g.features, 2), expected[1]
-            )
-        finally:
-            configure(kernels=False)
+        caches = (
+            [PropagationCache() for _ in plan.shards] if cached else None
+        )
+        chain = plan.propagate_chain(g.features, 3, caches=caches)
+        for got, want in zip(chain, expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            plan.propagate(g.features, 2, caches=caches), expected[1]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,24 @@ def _random_adj(n=12, seed=0):
     return SparseMatrix(sp.csr_matrix(dense))
 
 
+class _CountingCSR:
+    """Stands in for ``SparseMatrix.csr``; counts ``csr @ x`` products."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __matmul__(self, other):
+        self.calls += 1
+        return self.inner @ other
+
+
+def _counting(adj):
+    adj.fingerprint  # digest the real buffers before swapping them out
+    adj.csr = _CountingCSR(adj.csr)
+    return adj
+
+
 # ----------------------------------------------------------------------
 class TestDtypePolicy:
     def test_reference_default_is_float64(self):
@@ -98,13 +116,23 @@ class TestDtypePolicy:
                 "dtype": "float32",
                 "fused": True,
                 "propagation_cache": True,
-                "kernels": False,
                 "quantized_fallback": False,
             }
         finally:
             configure(**previous)
         assert settings()["fused"] is False
         assert get_default_dtype() == np.float64
+
+    def test_no_kernels_switch(self):
+        # Every sparse product is plain csr @ x; there is no switch.
+        with pytest.raises(TypeError):
+            with perf_mode(kernels=True):
+                pass
+        with pytest.raises(TypeError):
+            configure(kernels=True)
+        assert set(settings()) == {
+            "dtype", "fused", "propagation_cache", "quantized_fallback",
+        }
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +241,51 @@ class TestPropagationCache:
         cache.propagate(adj, np.zeros((12, 2)), k=1)
         cache.clear()
         assert len(cache) == 0 and cache.info()["misses"] == 0
+
+    def test_chain_longer_than_capacity(self):
+        # Regression: the chain was re-read from the cache after the
+        # walk, so a power evicted by the walk itself raised KeyError.
+        adj = _random_adj()
+        x = np.random.default_rng(0).random((12, 5))
+        cache = PropagationCache(capacity=1)
+        squared = cache.propagate(adj, x, k=2)
+        assert np.array_equal(squared, adj.csr @ (adj.csr @ x))
+        chain = cache.propagate_chain(adj, x, k=3)
+        assert np.array_equal(chain[0], adj.csr @ x)
+        assert np.array_equal(chain[1], squared)
+        assert np.array_equal(chain[2], adj.csr @ squared)
+        assert len(cache) == 1
+
+    def test_evicted_lower_power_behind_warm_top(self):
+        # Regression: with Â² X cached but Â X evicted, a warm k=2
+        # request raised KeyError.  It must cost no spmm and return the
+        # cached entry; the full chain recomputes the evicted power.
+        adj = _counting(_random_adj())
+        rng = np.random.default_rng(0)
+        x, y, z = (rng.random((12, 3)) for _ in range(3))
+        cache = PropagationCache(capacity=3)
+        first = cache.propagate(adj, x, k=2)
+        cache.propagate(adj, y, k=1)
+        cache.propagate(adj, x, k=2)
+        cache.propagate(adj, z, k=1)  # evicts Â X, keeps Â² X
+        spmms = adj.csr.calls
+        assert cache.propagate(adj, x, k=2) is first
+        assert adj.csr.calls == spmms
+        chain = cache.propagate_chain(adj, x, k=2)
+        assert adj.csr.calls == spmms + 1
+        assert np.array_equal(chain[0], adj.csr.inner @ x)
+        assert chain[1] is first
+        assert np.array_equal(first, adj.csr.inner @ (adj.csr.inner @ x))
+        with pytest.raises(ValueError):
+            chain[0][0, 0] = 1.0
+
+    def test_lowest_power_bounds(self):
+        adj = _random_adj()
+        cache = PropagationCache()
+        with pytest.raises(ValueError):
+            cache.propagate_chain(adj, np.zeros((12, 2)), k=2, lowest=3)
+        with pytest.raises(ValueError):
+            cache.propagate_chain(adj, np.zeros((12, 2)), k=2, lowest=0)
 
 
 # ----------------------------------------------------------------------
