@@ -1267,6 +1267,9 @@ def run_kernels_bench(
     3. the int8-quantized fallback head vs the float head (argmax
        identity over every node, byte sizes, max weight error).
 
+    Each speedup is a ratio of p50s: a restricted eval takes ~10 µs, so
+    one slow call among ``repeats`` would swing a ratio of means.
+
     Results land under a ``"kernels"`` key merged into the existing
     ``BENCH_infer.json`` (schema v2; prior fields kept).
     """
@@ -1362,7 +1365,7 @@ def run_kernels_bench(
             "sequential": sequential_stats,
             "fused": fused_stats,
             "speedup": _speedup(
-                sequential_stats["mean_s"], fused_stats["mean_s"]
+                sequential_stats["p50_s"], fused_stats["p50_s"]
             ),
             "bitwise_identical": chain_bitwise,
             "spmms_sequential": k * (k + 1) // 2,
@@ -1372,7 +1375,7 @@ def run_kernels_bench(
             "full_predict": full_stats,
             "restricted": restricted_stats,
             "speedup": _speedup(
-                full_stats["mean_s"], restricted_stats["mean_s"]
+                full_stats["p50_s"], restricted_stats["p50_s"]
             ),
             "argmax_identical": restricted_argmax,
         },
@@ -1422,13 +1425,13 @@ def format_kernels_report(result: dict) -> str:
         f"{s['num_edges']:,} edges), k={s['k']}",
         f"  power chain ({chain['spmms_fused']} spmms vs "
         f"{chain['spmms_sequential']}): "
-        f"{1000 * chain['fused']['mean_s']:.2f} ms vs "
-        f"{1000 * chain['sequential']['mean_s']:.2f} ms "
+        f"{1000 * chain['fused']['p50_s']:.2f} ms vs "
+        f"{1000 * chain['sequential']['p50_s']:.2f} ms p50 "
         f"-> {chain['speedup'] or 0:.2f}x "
         f"(bitwise={chain['bitwise_identical']})",
         f"  union-restricted eval (batch={s['batch']}): "
-        f"{1e6 * restricted['restricted']['mean_s']:.1f} µs vs full "
-        f"{1e6 * restricted['full_predict']['mean_s']:.1f} µs "
+        f"{1e6 * restricted['restricted']['p50_s']:.1f} µs vs full "
+        f"{1e6 * restricted['full_predict']['p50_s']:.1f} µs p50 "
         f"-> {restricted['speedup'] or 0:.2f}x "
         f"(argmax={restricted['argmax_identical']})",
         f"  int8 fallback head: {quant['int8_weight_bytes']:,} B vs "

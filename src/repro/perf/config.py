@@ -27,7 +27,12 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Optional
 
-from repro.tensor.dtype import Dtypeish, get_default_dtype, set_default_dtype
+from repro.tensor.dtype import (
+    Dtypeish,
+    default_dtype_name,
+    get_default_dtype,
+    set_default_dtype,
+)
 
 _FUSED_ENABLED = False
 _PROPCACHE_ENABLED = False
@@ -83,11 +88,20 @@ def configure(
 def settings() -> dict:
     """Snapshot of the current switch values (for logs and bench JSON)."""
     return {
-        "dtype": str(get_default_dtype()),
+        "dtype": default_dtype_name(),
         "fused": _FUSED_ENABLED,
         "propagation_cache": _PROPCACHE_ENABLED,
         "quantized_fallback": _QUANTIZED_FALLBACK,
     }
+
+
+def bit_settings() -> tuple:
+    """``(dtype, fused, propagation_cache)`` as :func:`settings` has them.
+
+    These are the switches that change computed bits, so serving keys
+    memoized logits by them; this reads them without building a dict.
+    """
+    return default_dtype_name(), _FUSED_ENABLED, _PROPCACHE_ENABLED
 
 
 @contextlib.contextmanager

@@ -19,7 +19,11 @@ with a deliberate status code, never a traceback.
   memoized warm lookup → full deep forward → cached shallow ``Â^k X``
   fallback (``degraded: true``) → structured 503; startup checkpoint
   loading that skips corrupt archives; atomic hot model swap;
-- :mod:`repro.serve.server` — ``ThreadingHTTPServer`` with ``/predict``,
+- :mod:`repro.serve.frontdoor` — the HTTP layer the model server and
+  the fleet router share: one threading server and one handler base
+  (a header reader in place of the stdlib's ``email`` parse, one write
+  per response, one body reader with the size guard);
+- :mod:`repro.serve.server` — the model server, with ``/predict``,
   ``/graph/update`` (durable dynamic-graph mutation; see
   ``docs/dynamic-graphs.md``), ``/reload``, ``/healthz``, ``/readyz``,
   ``/metrics`` (the PR-1 metrics registry);

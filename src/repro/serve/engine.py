@@ -454,11 +454,7 @@ class InferenceEngine:
         _, version, adj_fp = self._active
         if adj_fp is None:
             return None
-        perf = perf_config.settings()
-        return (
-            version, adj_fp, self._feat_fp,
-            perf["dtype"], perf["fused"], perf["propagation_cache"],
-        )
+        return (version, adj_fp, self._feat_fp) + perf_config.bit_settings()
 
     def swap_model(self, model) -> str:
         """Atomically publish new weights; invalidates memoized logits.

@@ -57,13 +57,17 @@ import json
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import MetricsRegistry, get_logger, get_registry, get_tracer
-from repro.serve.errors import Overloaded, ServeError, ValidationError
+from repro.serve.errors import Overloaded, ServeError
+from repro.serve.frontdoor import (
+    JSON_HEADERS,
+    FrontDoorHandler,
+    FrontDoorServer,
+)
 
 _LOG = get_logger("serve.fleet")
 
@@ -176,9 +180,7 @@ class FleetRouter:
         # handler threads serving them) alive across waves.
         self._pools: Dict[Tuple[str, int], List] = {}
         self._pool_lock = threading.Lock()
-        self._httpd = _RouterHTTPServer((host, port), _RouterHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.fleet_router = self  # type: ignore[attr-defined]
+        self._httpd = FrontDoorServer((host, port), _RouterHandler, self)
         if shard_plan is not None:
             self.registry.gauge("shard.halo_rows").set(shard_plan.halo_rows())
             self.registry.gauge("shard.num_shards").set(shard_plan.num_shards)
@@ -967,62 +969,29 @@ def _is_version_conflict(payload: bytes) -> bool:
     )
 
 
-class _RouterHTTPServer(ThreadingHTTPServer):
-    # socketserver's default listen backlog is 5; a barrier-released
-    # stampede of concurrent connects overflows it and the dropped SYNs
-    # come back after a full 1s kernel retransmit.  The fleet's whole
-    # point is absorbing stampedes, so listen deep.
-    request_queue_size = 128
+#: Replica response headers a proxied ``/predict`` passes through.
+_PASSTHROUGH_HEADERS = ("content-type", "x-trace-id", "x-graph-version")
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(FrontDoorHandler):
     """Routes requests to the owning :class:`FleetRouter`."""
 
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
     server_version = "repro-fleet-router/1.0"
+    log = _LOG
+    internal_errors_counter = "fleet.router.internal_errors"
 
-    @property
-    def router(self) -> FleetRouter:
-        return self.server.fleet_router  # type: ignore[attr-defined]
-
-    def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
-        _LOG.debug("%s %s", self.address_string(), fmt % args)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_raw(status, body, {"Content-Type": "application/json"})
-
-    def _send_raw(self, status: int, body: bytes, headers: dict) -> None:
-        try:
-            self.send_response(status)
-            for key, value in headers.items():
-                if key.lower() in (
-                    "content-type", "x-trace-id", "x-graph-version"
-                ):
-                    self.send_header(key, value)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response
-
-    def _dispatch(self, handler) -> None:
-        try:
-            status, payload = handler()
-        except ServeError as exc:
-            status, payload = exc.status, exc.to_dict()
-        except Exception as exc:  # structured 500, never a traceback
-            _LOG.warning("unexpected router error: %r", exc)
-            self.router.registry.counter("fleet.router.internal_errors").inc()
-            status = 500
-            payload = {
-                "error": {"code": "internal", "message": str(exc) or repr(exc)}
-            }
-        self._send_json(status, payload)
+    def _render(self, result) -> tuple:
+        if len(result) > 2:  # (status, body, headers) of a proxied /predict
+            status, body, headers = result
+            return status, body, [
+                (key, value) for key, value in headers.items()
+                if key.lower() in _PASSTHROUGH_HEADERS
+            ]
+        status, payload = result
+        return status, json.dumps(payload).encode("utf-8"), JSON_HEADERS
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib name)
-        router = self.router
+        router = self.server.owner
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
             self._dispatch(router.handle_healthz)
@@ -1035,53 +1004,22 @@ class _RouterHandler(BaseHTTPRequestHandler):
         else:
             self._dispatch(lambda: (404, _not_found(self.path)))
 
-    def _read_checked_body(self, endpoint: str) -> bytes:
-        router = self.router
-        length = self.headers.get("Content-Length")
-        if length is None:
-            raise ValidationError(
-                f"POST {endpoint} requires a Content-Length header",
-                code="missing_content_length", status=411,
-            )
-        length = int(length)
-        if length > router.max_body_bytes:
-            self.close_connection = True
-            raise ServeError(
-                f"request body is {length} bytes, limit is "
-                f"{router.max_body_bytes}",
-                code="payload_too_large", status=413,
-            )
-        return self.rfile.read(length)
-
     def do_POST(self) -> None:  # noqa: N802 (stdlib name)
-        router = self.router
+        router = self.server.owner
         path = self.path.split("?", 1)[0]
         if path == "/reload":
             self._dispatch(router.handle_reload)
-            return
-        if path == "/graph/update":
-
-            def graph_update():
-                raw = self._read_checked_body("/graph/update")
-                return router.handle_graph_update(raw)
-
-            self._dispatch(graph_update)
-            return
-        if path != "/predict":
+        elif path == "/graph/update":
+            self._dispatch(lambda: router.handle_graph_update(
+                self._read_body("/graph/update", router.max_body_bytes)
+            ))
+        elif path == "/predict":
+            self._dispatch(lambda: router.route_predict(
+                self._read_body("/predict", router.max_body_bytes),
+                self.headers,
+            ))
+        else:
             self._dispatch(lambda: (404, _not_found(self.path)))
-            return
-        try:
-            raw = self._read_checked_body("/predict")
-            status, payload, headers = router.route_predict(raw, self.headers)
-            self._send_raw(status, payload, headers)
-        except ServeError as exc:
-            self._send_json(exc.status, exc.to_dict())
-        except Exception as exc:
-            _LOG.warning("unexpected router error: %r", exc)
-            router.registry.counter("fleet.router.internal_errors").inc()
-            self._send_json(500, {
-                "error": {"code": "internal", "message": str(exc) or repr(exc)}
-            })
 
 
 def _not_found(path: str) -> dict:

@@ -1,7 +1,8 @@
 """The fault-tolerant model server (stdlib ``http.server``, threads).
 
-:class:`ModelServer` binds a :class:`ThreadingHTTPServer` with four JSON
-endpoints:
+:class:`ModelServer` binds a threading HTTP server
+(:mod:`repro.serve.frontdoor`, shared with the fleet router) with these
+JSON endpoints:
 
 - ``POST /predict`` — validated inference through the serving fast
   path and the degradation ladder (see :mod:`repro.serve.engine`);
@@ -36,11 +37,11 @@ returned in the ``X-Trace-Id`` response header; an inbound
 sample).  With the tracer disabled — the default — the handler path is
 unchanged except for no-op singleton checks.
 
-Every code path funnels through :meth:`_send_json`; an unexpected
-exception becomes a structured 500 body (code ``internal``) rather than
-the default ``http.server`` HTML traceback page — the serving contract
-is that clients only ever parse JSON (or, for the Prometheus view,
-explicitly ask for text).
+Every endpoint answers through the front door's ``_dispatch``; an
+unexpected exception becomes a structured 500 body (code ``internal``)
+rather than the default ``http.server`` HTML traceback page — the
+serving contract is that clients only ever parse JSON (or, for the
+Prometheus view, explicitly ask for text).
 
 Request threads are daemonic and admission is bounded by the
 :class:`~repro.serve.guard.LoadShedder`, so a traffic spike sheds with
@@ -53,7 +54,6 @@ import json
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Union
 
 from repro.obs import (
@@ -70,11 +70,10 @@ from repro.serve.engine import InferenceEngine, PathLike, load_checkpoint_model
 from repro.serve.errors import (
     ModelUnavailable,
     Overloaded,
-    PayloadTooLarge,
-    ServeError,
     ValidationError,
     VersionConflict,
 )
+from repro.serve.frontdoor import FrontDoorHandler, FrontDoorServer
 from repro.serve.guard import Deadline, LoadShedder
 from repro.serve.validate import (
     DEFAULT_MAX_BODY_BYTES,
@@ -143,9 +142,7 @@ class ModelServer:
         self._started_at = time.time()
         self._draining = False
         self._thread: Optional[threading.Thread] = None
-        self._httpd = _ModelHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.model_server = self  # type: ignore[attr-defined]
+        self._httpd = FrontDoorServer((host, port), _Handler, self)
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -449,29 +446,10 @@ class ModelServer:
         }
 
 
-class _ModelHTTPServer(ThreadingHTTPServer):
-    # socketserver's default listen backlog (5) drops SYNs under a
-    # stampede of simultaneous connects, and a dropped SYN costs the
-    # client a ~1s kernel retransmit.  Shedding is the LoadShedder's
-    # job — done deliberately with a 429 — not the accept queue's.
-    request_queue_size = 128
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(FrontDoorHandler):
     """Routes requests to the owning :class:`ModelServer`."""
 
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
     server_version = "repro-serve/1.0"
-
-    @property
-    def model_server(self) -> ModelServer:
-        return self.server.model_server  # type: ignore[attr-defined]
-
-    # Route stdlib request logging to the obs logger at debug level
-    # instead of stderr noise.
-    def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
-        _LOG.debug("%s %s", self.address_string(), fmt % args)
 
     #: Trace id of the request being handled (set per request before the
     #: response is written; surfaces as the X-Trace-Id response header).
@@ -480,45 +458,19 @@ class _Handler(BaseHTTPRequestHandler):
     #: and clients can track the newest version they have observed.
     _graph_version: Optional[int] = None
 
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
+    def _render(self, result) -> tuple:
+        status, payload = result[0], result[1]
+        if len(result) > 2:  # (status, text, content_type) — /metrics
+            body, content_type = payload.encode("utf-8"), result[2]
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
+        headers = [("Content-Type", content_type)]
         if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
+            headers.append(("X-Trace-Id", self._trace_id))
         if self._graph_version is not None:
-            self.send_header(GRAPH_VERSION_HEADER, str(self._graph_version))
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        self._send_body(
-            status, json.dumps(payload).encode("utf-8"), "application/json"
-        )
-
-    def _dispatch(self, handler) -> None:
-        content_type = None
-        try:
-            result = handler()
-            status, payload = result[0], result[1]
-            if len(result) > 2:  # (status, text, content_type) — /metrics
-                content_type = result[2]
-        except ServeError as exc:
-            status, payload = exc.status, exc.to_dict()
-        except Exception as exc:  # structured 500, never an HTML traceback
-            _LOG.warning("unexpected serving error: %r", exc)
-            self.model_server.registry.counter("serve.internal_errors").inc()
-            status = 500
-            payload = {
-                "error": {"code": "internal", "message": str(exc) or repr(exc)}
-            }
-        try:
-            if content_type is not None:
-                self._send_body(status, payload.encode("utf-8"), content_type)
-            else:
-                self._send_json(status, payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response
+            headers.append((GRAPH_VERSION_HEADER, str(self._graph_version)))
+        return status, body, headers
 
     def _query(self) -> dict:
         """First-value-wins query parameters of the request path."""
@@ -534,7 +486,7 @@ class _Handler(BaseHTTPRequestHandler):
         # the previous request's trace id so it can't leak into headers.
         self._trace_id = None
         self._graph_version = None
-        server = self.model_server
+        server = self.server.owner
         path = self.path.split("?", 1)[0]
         if path == "/metrics":
             fmt = self._query().get("format", "json")
@@ -554,27 +506,6 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._dispatch(lambda: _not_found(self.path))
 
-    def _read_post_body(self, endpoint: str) -> bytes:
-        """Read the request body with the size guard applied up front."""
-        server = self.model_server
-        length = self.headers.get("Content-Length")
-        if length is None:
-            raise ValidationError(
-                f"POST {endpoint} requires a Content-Length header",
-                code="missing_content_length", status=411,
-            )
-        length = int(length)
-        if length > server.max_body_bytes:
-            # Shed before reading the body; the connection is closed
-            # afterwards so the unread payload can't poison reuse.
-            self.close_connection = True
-            raise PayloadTooLarge(
-                f"request body is {length} bytes, limit is "
-                f"{server.max_body_bytes}",
-                detail={"bytes": length, "limit": server.max_body_bytes},
-            )
-        return self.rfile.read(length)
-
     def _required_graph_version(self) -> Optional[int]:
         """The inbound X-Graph-Version fence, or None when absent."""
         header = self.headers.get(GRAPH_VERSION_HEADER)
@@ -589,14 +520,14 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
 
     def _stamp_graph_version(self) -> None:
-        engine = self.model_server.engine
+        engine = self.server.owner.engine
         if engine is not None:
             self._graph_version = engine.graph_version
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib name)
         self._trace_id = None
         self._graph_version = None
-        server = self.model_server
+        server = self.server.owner
         path = self.path.split("?", 1)[0]
         if path == "/reload":
 
@@ -613,7 +544,7 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/graph/update":
 
             def graph_update():
-                raw = self._read_post_body("/graph/update")
+                raw = self._read_body("/graph/update", server.max_body_bytes)
                 span = server.tracer.trace(
                     "serve.graph_update",
                     trace_id=self.headers.get("X-Trace-Id"),
@@ -634,7 +565,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         def predict():
-            raw = self._read_post_body("/predict")
+            raw = self._read_body("/predict", server.max_body_bytes)
             # Root span for the request: an inbound X-Trace-Id continues
             # the caller's trace (and forces the sample); the id is set
             # on the handler *before* the body runs so even error

@@ -28,6 +28,9 @@ Dtypeish = Union[str, type, np.dtype]
 _FLOAT64 = np.dtype(np.float64)
 _FLOAT32 = np.dtype(np.float32)
 _SUPPORTED = (_FLOAT32, _FLOAT64)
+# Formatting a numpy dtype costs microseconds; per-request callers
+# (the serving store key) read the name from here instead.
+_NAMES = {dtype: str(dtype) for dtype in _SUPPORTED}
 
 _DEFAULT_DTYPE = _FLOAT64
 
@@ -45,6 +48,11 @@ def _resolve(dtype: Dtypeish) -> np.dtype:
 def get_default_dtype() -> np.dtype:
     """The dtype new tensors/parameters/sparse operands are built with."""
     return _DEFAULT_DTYPE
+
+
+def default_dtype_name() -> str:
+    """``str(get_default_dtype())``, e.g. ``"float32"``."""
+    return _NAMES[_DEFAULT_DTYPE]
 
 
 def set_default_dtype(dtype: Dtypeish) -> np.dtype:

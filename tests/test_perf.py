@@ -32,6 +32,7 @@ from repro.perf import (
     settings,
 )
 from repro.perf.bench import run_bench
+from repro.perf.config import bit_settings
 from repro.tensor import (
     SparseMatrix,
     Tensor,
@@ -118,10 +119,13 @@ class TestDtypePolicy:
                 "propagation_cache": True,
                 "quantized_fallback": False,
             }
+            # The serving store key reads the same values without the dict.
+            assert bit_settings() == ("float32", True, True)
         finally:
             configure(**previous)
         assert settings()["fused"] is False
         assert get_default_dtype() == np.float64
+        assert bit_settings() == ("float64", False, False)
 
     def test_no_kernels_switch(self):
         # Every sparse product is plain csr @ x; there is no switch.
