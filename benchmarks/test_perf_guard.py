@@ -195,56 +195,6 @@ class TestCommittedBaselines:
 
 
 # ---------------------------------------------------------------------------
-# Sharded-baseline guards (the `bench --sharded` blocks)
-# ---------------------------------------------------------------------------
-
-class TestShardedBaselines:
-    """The committed flagship run must stay full-scale and exact."""
-
-    def test_committed_sharded_blocks_present(self):
-        train = load_baseline("BENCH_train.json")["sharded"]
-        serve = load_baseline("BENCH_serve.json")["sharded"]
-        assert {"settings", "partition", "propagate", "equivalence",
-                "train"} <= set(train)
-        assert {"settings", "routed", "latency"} <= set(serve)
-
-    def test_committed_flagship_is_full_scale_and_bitwise(self):
-        train = load_baseline("BENCH_train.json")["sharded"]
-        settings = train["settings"]
-        assert settings["dataset"] == "tencent"
-        assert settings["scale"] == 1.0
-        assert settings["num_nodes"] >= 1_000_000
-        assert settings["shards"] >= 2
-        eq = train["equivalence"]
-        assert eq["bitwise_identical"] is True
-        assert eq["max_abs_diff"] == 0.0
-        assert train["train"]["epochs_run"] >= 1
-
-    def test_committed_sharded_serving_routed_every_shard(self):
-        serve = load_baseline("BENCH_serve.json")["sharded"]
-        routed = serve["routed"]["per_shard"]
-        assert len(routed) == serve["settings"]["shards"]
-        assert all(count > 0 for count in routed), (
-            f"some shard never served a request: {routed}"
-        )
-        assert serve["routed"]["stitch_time_s"]["count"] > 0
-        assert serve["latency"]["single"]["p99_s"] > 0
-
-    def test_fresh_sharded_run_stays_bitwise(self):
-        # A small fresh run through the same harness as the committed
-        # flagship: equivalence must hold on this machine, today.
-        from repro.perf.bench import run_sharded_bench
-
-        result = run_sharded_bench(
-            dataset="tencent", shards=4, k=2, epochs=1,
-            repeats=20, batch=8, scale=0.02, write=False,
-        )
-        eq = result["train_sharded"]["equivalence"]
-        assert eq["bitwise_identical"] is True
-        assert result["paths"] == []  # write=False must not touch disk
-
-
-# ---------------------------------------------------------------------------
 # Kernel-baseline guards (the `bench --kernels` block of BENCH_infer.json)
 # ---------------------------------------------------------------------------
 

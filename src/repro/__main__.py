@@ -82,7 +82,6 @@ def _train_cli_metadata(args: argparse.Namespace, epochs: int) -> dict:
             "seed": args.seed,
             "inductive": args.inductive,
             "checkpoint_every": args.checkpoint_every,
-            "shards": getattr(args, "shards", None),
         }
     }
 
@@ -122,7 +121,6 @@ def _run_train(args: argparse.Namespace, resume_from=None) -> int:
             checkpoint_dir=checkpoint_dir,
             resume_from=resume_from,
             checkpoint_metadata=_train_cli_metadata(args, epochs),
-            shards=getattr(args, "shards", None),
         )
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
@@ -278,25 +276,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
         run_serve_bench,
     )
-
-    if args.sharded:
-        from repro.perf.bench import format_sharded_report, run_sharded_bench
-
-        result = run_sharded_bench(
-            dataset=args.dataset if args.dataset != "synthetic" else "tencent",
-            shards=args.shards,
-            k=args.k,
-            epochs=args.epochs,
-            repeats=args.repeats,
-            scale=args.scale if args.scale is not None else 1.0,
-            seed=args.seed,
-            out_dir=args.out_dir,
-            write=not args.no_write,
-        )
-        print(format_sharded_report(result))
-        for path in result["paths"]:
-            print(f"\nwrote {path}")
-        return 0
 
     if args.kernels:
         from repro.perf.bench import format_kernels_report, run_kernels_bench
@@ -472,38 +451,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
     wal_dir = getattr(args, "wal_dir", None)
-    shard_plan = None
-    shards = getattr(args, "shards", None)
-    if shards is not None and shards > 1:
-        if wal_dir:
-            print(
-                "--wal-dir (dynamic graph updates) is not supported with "
-                "--shards; drop one of the two",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.graphs.shard import build_shard_plan, operator_adjacency
-
-        operator = operator_adjacency(engine.model._norm_adj)
-        if operator is None:
-            print(
-                f"{engine.info()['model']} has no shardable operator; "
-                "--shards needs one",
-                file=sys.stderr,
-            )
-            return 2
-        shard_plan = build_shard_plan(
-            engine.graph, adj=operator, num_shards=shards, seed=args.seed
-        )
-        if args.workers <= 1:
-            args.workers = shards  # one replica per shard
-        elif args.workers != shards:
-            print(
-                f"--shards {shards} needs --workers {shards} "
-                f"(got {args.workers})",
-                file=sys.stderr,
-            )
-            return 2
 
     if args.workers > 1:
         from repro.serve import FleetConfig, ServingFleet
@@ -519,17 +466,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_source=args.checkpoint_dir or None,
             drain_timeout_s=args.drain_timeout,
             shared_store=not args.no_fastpath,
-            shard_plan=shard_plan,
             wal_dir=wal_dir,
         ))
         fleet.start()
-        sharded = (
-            f" (sharded: {shard_plan.halo_rows()} halo rows)"
-            if shard_plan is not None else ""
-        )
         print(
             f"fleet: {args.workers} x {engine.info()['model']} replicas "
-            f"behind {fleet.url}{sharded}"
+            f"behind {fleet.url}"
         )
         if wal_dir:
             print(f"graph updates: per-replica WALs under {wal_dir}")
@@ -706,9 +648,6 @@ def main(argv=None) -> int:
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inductive", action="store_true")
-    p.add_argument("--shards", type=int, default=None,
-                   help="train over N graph shards (bitwise-identical "
-                        "to dense; see docs/sharding.md)")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-every", type=int, default=None,
                    help="write a crash-safe checkpoint every N epochs")
@@ -773,14 +712,9 @@ def main(argv=None) -> int:
                    help="directory for BENCH_train.json / BENCH_infer.json")
     p.add_argument("--no-write", action="store_true",
                    help="print the report without touching the filesystem")
-    p.add_argument("--sharded", action="store_true",
-                   help="graph-sharded train+serve benchmark (defaults "
-                        "to the Tencent-style bipartite graph at "
-                        "scale=1.0; see docs/sharding.md)")
-    p.add_argument("--shards", type=int, default=8,
-                   help="shard count for --sharded (default 8)")
     p.add_argument("--k", type=int, default=2,
-                   help="propagation power for --sharded (default 2)")
+                   help="propagation power for --kernels (raised to at "
+                        "least 3)")
     p.add_argument("--serve", action="store_true",
                    help="benchmark the serving fast path instead "
                         "(cold/warm latency, coalesced vs stampede "
@@ -827,9 +761,6 @@ def main(argv=None) -> int:
                    help="replica processes; >1 starts the supervised "
                         "fleet (health-aware router, restart-budget "
                         "quarantine, shared cross-process logit store)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard the graph across N fleet replicas "
-                        "(replica i owns shard i; implies --workers N)")
     p.add_argument("--wal-dir", default=None,
                    help="enable POST /graph/update backed by a durable "
                         "write-ahead log in this directory; restarts "

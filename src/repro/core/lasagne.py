@@ -177,18 +177,24 @@ class Lasagne(GNNModel):
     def on_attach(self, graph: Graph) -> None:
         if self.aggregators is None:
             self._build_node_aware(graph.num_nodes)
-        elif self._is_node_bound() and graph.num_nodes != self._node_count:
+        elif not self.can_attach(graph.num_nodes):
             raise ValueError(
                 f"{self.aggregator_kind!r} aggregator parameters are bound to "
                 f"{self._node_count} nodes and cannot transfer to a graph "
                 f"with {graph.num_nodes} (use aggregator='maxpool' for "
                 "inductive tasks, cf. Table 4)"
             )
-        elif not self._is_node_bound() and graph.num_nodes != self._node_count:
+        else:
             self._node_count = graph.num_nodes
 
-    def _is_node_bound(self) -> bool:
-        return self.aggregator_kind in ("weighted", "stochastic")
+    def can_attach(self, num_nodes: int) -> bool:
+        # The weighted C and the stochastic gate logits P have one row
+        # per node, fixed when the node-aware parameters are built.
+        return (
+            self.aggregators is None
+            or self.aggregator_kind not in ("weighted", "stochastic")
+            or num_nodes == self._node_count
+        )
 
     def _build_node_aware(self, num_nodes: int) -> None:
         rng = np.random.default_rng(self._agg_seed)

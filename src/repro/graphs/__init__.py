@@ -29,12 +29,6 @@ from repro.graphs.partition import (
     khop_neighborhood,
     partition_graph,
 )
-from repro.graphs.shard import (
-    Shard,
-    ShardPlan,
-    build_shard_plan,
-    operator_adjacency,
-)
 from repro.graphs.sampling import (
     drop_edge,
     sample_neighbors,
@@ -65,10 +59,6 @@ __all__ = [
     "dirty_rows",
     "incremental_gcn_norm",
     "normalization_state",
-    "Shard",
-    "ShardPlan",
-    "build_shard_plan",
-    "operator_adjacency",
     "drop_edge",
     "sample_neighbors",
     "fastgcn_layer_sample",

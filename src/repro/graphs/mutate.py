@@ -40,8 +40,7 @@ rebuild bit for bit (structure included: the diagonal products preserve
 ``Â^p X`` maintenance: scipy's CSR·dense kernel accumulates each output
 row independently over that row's stored entries in order, so patching
 ``rows`` with ``Â[rows] @ P_{p-1}`` equals the full product on those
-rows while clean rows keep their old bytes — the induction is identical
-to the shard-stitch argument in :mod:`repro.graphs.shard`, and is
+rows while clean rows keep their old bytes, by induction over ``p`` —
 enforced by the equivalence harness in ``tests/test_graph_update.py``.
 """
 

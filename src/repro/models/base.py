@@ -58,8 +58,6 @@ class GNNModel(nn.Module):
         self._features: Optional[Tensor] = None
         self._view_cache: Dict[int, tuple] = {}
         self._prop_tensors: Dict[tuple, Tensor] = {}
-        self._shard_plan = None
-        self._shard_caches = None
 
     # ------------------------------------------------------------------
     def setup(self, graph: Graph) -> "GNNModel":
@@ -85,6 +83,15 @@ class GNNModel(nn.Module):
 
     def on_attach(self, graph: Graph) -> None:
         """Hook for per-graph precomputation beyond the operator."""
+
+    def can_attach(self, num_nodes: int) -> bool:
+        """Whether this model can attach to a graph of ``num_nodes`` nodes.
+
+        True by default; models whose parameters are bound to the node
+        count they were built for override it.  The serve engine asks
+        before a node-growth update reaches its WAL.
+        """
+        return True
 
     def begin_epoch(self, rng: np.random.Generator) -> None:
         """Hook for per-epoch stochastic graph views (default: none)."""
@@ -134,43 +141,6 @@ class GNNModel(nn.Module):
         return None
 
     # ------------------------------------------------------------------
-    def enable_sharding(self, plan) -> "GNNModel":
-        """Route eligible ``Â^k X`` products through a :class:`ShardPlan`.
-
-        Each shard gets its own :class:`~repro.perf.PropagationCache`
-        scoped by the shard signature, so shard entries can never collide
-        with each other or with the process-global cache.  The plan must
-        be built over this model's own operator (fingerprints are checked
-        per call); propagation powers above ``plan.max_power`` silently
-        fall back to the dense path.
-        """
-        from repro.perf.propcache import PropagationCache
-
-        self._shard_plan = plan
-        self._shard_caches = [
-            PropagationCache(scope=shard.signature) for shard in plan.shards
-        ]
-        self._prop_tensors.clear()
-        if self.graph is not None:
-            # Re-run per-graph precomputation (e.g. SGC's Â^K X) so models
-            # that propagate at attach time pick up the sharded path.
-            self.on_attach(self.graph)
-        return self
-
-    def disable_sharding(self) -> "GNNModel":
-        """Drop the shard plan and return to dense/global-cache execution."""
-        self._shard_plan = None
-        self._shard_caches = None
-        self._prop_tensors.clear()
-        if self.graph is not None:
-            self.on_attach(self.graph)
-        return self
-
-    @property
-    def shard_plan(self):
-        return self._shard_plan
-
-    # ------------------------------------------------------------------
     def _propagated_input(self, adj, x, k: int = 1) -> Optional[Tensor]:
         """Memoized ``Â^k x`` when ``x`` is the attached constant features.
 
@@ -182,11 +152,6 @@ class GNNModel(nn.Module):
         mutate it; the product itself comes from the process-global
         :class:`repro.perf.PropagationCache` and is shared across model
         instances on equal graphs.
-
-        With sharding enabled (:meth:`enable_sharding`) and the operator
-        matching the plan, the product is instead computed shard-by-shard
-        through the per-shard caches and stitched — bitwise-identical to
-        the dense product — regardless of the global cache switch.
         """
         from repro.perf import config as perf_config
         from repro.perf import propcache
@@ -195,28 +160,6 @@ class GNNModel(nn.Module):
             return None
         if not isinstance(adj, SparseMatrix):
             return None
-        plan = self._shard_plan
-        if (
-            plan is not None
-            and k <= plan.max_power
-            and adj.fingerprint == plan.operator_fingerprint
-        ):
-            key = (id(adj), k, plan.signature)
-            cached = self._prop_tensors.get(key)
-            if cached is None:
-                # One fused block chain per shard produces every power
-                # 1..k (see ShardPlan.propagate_chain); stash them all so
-                # a later lower-power request is a dict hit, not k more
-                # spmms.
-                chain = plan.propagate_chain(
-                    self._features.data, k, caches=self._shard_caches
-                )
-                for power, data in enumerate(chain, start=1):
-                    self._prop_tensors.setdefault(
-                        (id(adj), power, plan.signature), Tensor(data)
-                    )
-                cached = self._prop_tensors[key]
-            return cached
         if not perf_config.propagation_cache_enabled():
             return None
         key = (id(adj), k)

@@ -39,14 +39,12 @@ class SGC(GNNModel):
         self._prop_cache = {}
 
     def on_attach(self, graph: Graph) -> None:
-        plan = self._shard_plan
-        key = (id(graph), plan.signature if plan is not None else None)
+        key = id(graph)
         if key not in self._prop_cache:
-            # Cached paths first: the sharded stitch when a plan is
-            # bound, else the content-keyed global cache (a second SGC —
-            # or a GCN with cached first-layer propagation — on an equal
-            # graph view reuses the same Â^k X buffers).  Both are
-            # bitwise-identical to the dense loop below.
+            # The content-keyed global cache first: a second SGC — or a
+            # GCN with cached first-layer propagation — on an equal graph
+            # view reuses the same Â^k X buffers, bitwise-identical to
+            # the dense loop below.
             cached = self._propagated_input(
                 self._norm_adj, self._features, k=self.k_hops
             )

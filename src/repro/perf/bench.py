@@ -40,8 +40,9 @@ from repro.perf import config as perf_config
 from repro.perf import propcache
 from repro.perf.fused import fused_gcn_layer
 
-# train v2 = v1 (settings/modes/speedup/micro_ops unchanged) + the
-# optional "sharded" block written by `bench --sharded`.
+# train v2 = v1 (settings/modes/speedup/micro_ops unchanged) + one
+# optional block, since deleted with the code it measured; a v2 file
+# holds v1's blocks only.
 SCHEMA_TRAIN = "repro.bench.train/v2"
 # infer v2 = v1 (settings/modes/speedup unchanged) + the optional
 # "kernels" block from `bench --kernels` (propagation chain,
@@ -49,7 +50,8 @@ SCHEMA_TRAIN = "repro.bench.train/v2"
 SCHEMA_INFER = "repro.bench.infer/v2"
 # serve v2 = v1 (latency/concurrent_warm/coalesce blocks unchanged) + the
 # optional "fleet" block measured over HTTP with --workers N.
-# serve v3 = v2 + the optional "sharded" block from `bench --sharded`.
+# serve v3 = v2 + one optional block, since deleted with the code it
+# measured.
 # serve v4 = v3 + the optional "mutate" block from `bench --mutate`
 # (WAL-backed update-apply latency, incremental vs full maintenance).
 SCHEMA_SERVE = "repro.bench.serve/v4"
@@ -87,26 +89,25 @@ def _speedup(reference: Optional[float], optimized: Optional[float]) -> Optional
     return round(reference / optimized, 3)
 
 
-def _preserve_sharded(
-    path: pathlib.Path, doc: dict, keys=("sharded", "mutate")
-) -> dict:
-    """Carry committed optional blocks (``keys``) into ``doc``.
+def _carry_committed_blocks(
+    path: pathlib.Path, doc: dict, keys: Sequence[str]
+) -> None:
+    """Copy the committed optional blocks ``keys`` of ``path`` into ``doc``.
 
-    The sharded/mutate/kernels benchmarks (``bench --sharded`` /
-    ``--mutate`` / ``--kernels``) are separate runs; a plain ``bench``
-    rewrite must not silently drop their committed results.
+    The mutate and kernels benchmarks (``bench --mutate`` /
+    ``--kernels``) are separate runs; a plain ``bench`` rewrite must not
+    silently drop their committed results.
     """
     missing = [key for key in keys if key not in doc]
     if missing and path.exists():
         try:
             previous = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
-            return doc
+            return
         if isinstance(previous, dict):
             for key in missing:
                 if key in previous:
                     doc[key] = previous[key]
-    return doc
 
 
 def _build(name: str, graph, hp, seed: int):
@@ -333,12 +334,11 @@ def run_bench(
     if write:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for stem, doc in (("BENCH_train", train_doc), ("BENCH_infer", infer_doc)):
-            path = out / f"{stem}.json"
-            if stem == "BENCH_train":
-                doc = _preserve_sharded(path, doc)
-            else:
-                doc = _preserve_sharded(path, doc, keys=("kernels",))
+        infer_path = out / "BENCH_infer.json"
+        _carry_committed_blocks(infer_path, infer_doc, ("kernels",))
+        for path, doc in (
+            (out / "BENCH_train.json", train_doc), (infer_path, infer_doc)
+        ):
             path.write_text(json.dumps(doc, indent=2) + "\n")
             paths.append(str(path))
     return {"train": train_doc, "infer": infer_doc, "paths": paths}
@@ -530,7 +530,7 @@ def run_serve_bench(
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "BENCH_serve.json"
-        serve_doc = _preserve_sharded(path, serve_doc)
+        _carry_committed_blocks(path, serve_doc, ("mutate",))
         path.write_text(json.dumps(serve_doc, indent=2) + "\n")
         paths.append(str(path))
     return {"serve": serve_doc, "paths": paths}
@@ -726,288 +726,6 @@ def format_mutate_report(result: dict) -> str:
         f"{1000 * warm['p50_s']:.2f} ms p50",
         f"  final graph version {block['final_graph_version']}, "
         f"{block['store_entries_migrated']} store entries migrated",
-    ]
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-def run_sharded_bench(
-    dataset: str = "tencent",
-    shards: int = 8,
-    k: int = 2,
-    epochs: int = 3,
-    repeats: int = 200,
-    batch: int = 16,
-    scale: Optional[float] = 1.0,
-    seed: int = 0,
-    out_dir: str = ".",
-    write: bool = True,
-) -> dict:
-    """Graph-sharded train+serve benchmark (``bench --sharded``).
-
-    The flagship configuration is the Tencent-style bipartite graph at
-    ``scale=1.0`` — one million nodes, which the dense per-mode harness
-    above never attempts.  Four stages, all through the real APIs:
-
-    1. partition + :func:`~repro.graphs.build_shard_plan` (timed, with
-       halo/edge-cut stats);
-    2. shard-by-shard ``Â^k X`` vs the dense chain — the committed
-       document records the *bitwise* equivalence verdict at full scale;
-    3. ``Trainer.fit(shards=N)`` of an SGC head over the sharded
-       propagation;
-    4. ownership-routed serving against per-shard propagated rows: warm
-       single-node lookups, cross-shard batches split per owner and
-       re-merged in request order (merge time under
-       ``shard.stitch_time_s``), per-shard routed counts.
-
-    Results land under a ``"sharded"`` key merged into the existing
-    ``BENCH_train.json`` / ``BENCH_serve.json`` (schema v2 / v3: prior
-    fields kept).
-    """
-    from repro.datasets import load_dataset
-    from repro.graphs.normalize import gcn_norm
-    from repro.graphs.shard import build_shard_plan
-    from repro.models import SGC
-    from repro.perf.propcache import PropagationCache
-    from repro.training import TrainConfig, Trainer, hyperparams_for
-
-    registry = MetricsRegistry()
-    rng = np.random.default_rng(seed)
-
-    t0 = time.perf_counter()
-    graph = load_dataset(dataset, scale=scale, seed=seed)
-    load_s = time.perf_counter() - t0
-    hp = hyperparams_for(dataset)
-
-    t0 = time.perf_counter()
-    adj = gcn_norm(graph.adj)
-    normalize_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    plan = build_shard_plan(
-        graph, adj=adj, num_shards=shards, max_power=k, seed=seed
-    )
-    plan_s = time.perf_counter() - t0
-
-    # -- sharded vs dense propagation (the stitch guarantee, at scale) --
-    caches = [PropagationCache(scope=s.signature) for s in plan.shards]
-    features = graph.features
-    per_shard_s = []
-    t_all = time.perf_counter()
-    for shard, cache in zip(plan.shards, caches):
-        t0 = time.perf_counter()
-        shard.propagate(features, k, cache=cache)
-        per_shard_s.append(round(time.perf_counter() - t0, 6))
-    t0 = time.perf_counter()
-    stitched = plan.propagate(features, k, caches=caches)  # all cache hits
-    stitch_s = time.perf_counter() - t0
-    sharded_total_s = time.perf_counter() - t_all
-
-    t0 = time.perf_counter()
-    dense = features
-    for _ in range(k):
-        dense = adj.csr @ dense
-    dense_s = time.perf_counter() - t0
-    bitwise = bool(np.array_equal(stitched, dense))
-    max_abs_diff = float(np.max(np.abs(stitched - dense))) if not bitwise else 0.0
-
-    warm_timer = registry.timer("shard.warm_hit")
-    warm_shard = plan.shards[0]
-    for _ in range(min(repeats, 50)):
-        with warm_timer:
-            warm_shard.propagate(features, k, cache=caches[0])
-    del dense
-
-    # -- sharded training (the real Trainer API) ------------------------
-    model = SGC(graph.num_features, graph.num_classes, k_hops=k, seed=seed)
-    config = TrainConfig(
-        lr=hp.lr, weight_decay=hp.weight_decay,
-        epochs=epochs, patience=epochs, seed=seed,
-    )
-    t0 = time.perf_counter()
-    result = Trainer(config).fit(model, graph, shards=shards)
-    train_s = time.perf_counter() - t0
-
-    # -- ownership-routed serving over per-shard rows -------------------
-    # Per-shard propagated rows (cache-warm) + the trained head: exactly
-    # what a shard-bound replica answers from, without paying a fleet of
-    # full-graph forwards on a single-core benchmark box.
-    weight = model.lin.weight.data
-    bias = model.lin.bias.data if model.lin.bias is not None else None
-    shard_rows = [
-        shard.propagate(features, k, cache=cache)
-        for shard, cache in zip(plan.shards, caches)
-    ]
-    local_pos = np.empty(graph.num_nodes, dtype=np.int64)
-    for shard in plan.shards:
-        local_pos[shard.nodes] = np.arange(len(shard.nodes))
-
-    def _serve_rows(ids: np.ndarray, owner: int) -> np.ndarray:
-        rows = shard_rows[owner][local_pos[ids]]
-        logits = rows @ weight
-        if bias is not None:
-            logits = logits + bias
-        return np.argmax(logits, axis=1)
-
-    routed = np.zeros(shards, dtype=np.int64)
-    single_timer = registry.timer("shard.serve.single")
-    nodes = rng.integers(0, graph.num_nodes, size=repeats)
-    for node in nodes:
-        with single_timer:
-            owner = int(plan.owner[node])
-            _serve_rows(np.asarray([node]), owner)
-        routed[owner] += 1
-
-    batch_timer = registry.timer("shard.serve.batch")
-    stitch_timer = registry.timer("shard.stitch_time_s")
-    cross_shard_batches = 0
-    batch_rounds = max(1, repeats // 10)
-    for _ in range(batch_rounds):
-        ids = rng.integers(0, graph.num_nodes, size=batch)
-        with batch_timer:
-            owners = plan.owner[ids]
-            groups = [
-                (int(o), np.flatnonzero(owners == o))
-                for o in np.unique(owners)
-            ]
-            if len(groups) > 1:
-                cross_shard_batches += 1
-            parts = [
-                (positions, _serve_rows(ids[positions], owner))
-                for owner, positions in groups
-            ]
-            with stitch_timer:
-                merged = np.empty(batch, dtype=np.int64)
-                for positions, classes in parts:
-                    merged[positions] = classes
-        routed += np.bincount(owners, minlength=shards)
-
-    settings = {
-        "dataset": dataset,
-        "model": "sgc",
-        "shards": shards,
-        "k": k,
-        "epochs": epochs,
-        "repeats": repeats,
-        "batch": batch,
-        "scale": scale,
-        "seed": seed,
-        "num_nodes": graph.num_nodes,
-        "num_edges": int(graph.adj.nnz // 2),
-        "num_features": graph.num_features,
-        "num_classes": graph.num_classes,
-        "load_s": round(load_s, 3),
-    }
-    train_sharded = {
-        "settings": settings,
-        "partition": {
-            "normalize_s": round(normalize_s, 3),
-            "plan_build_s": round(plan_s, 3),
-            "edge_cut_fraction": round(plan.edge_cut, 6),
-            "halo_rows": plan.halo_rows(),
-            "shard_nodes": [int(len(s.nodes)) for s in plan.shards],
-            "shard_halo_rows": [int(len(s.halo)) for s in plan.shards],
-        },
-        "propagate": {
-            "sharded_total_s": round(sharded_total_s, 4),
-            "per_shard_s": per_shard_s,
-            "stitch_s": round(stitch_s, 4),
-            "dense_s": round(dense_s, 4),
-            "warm_hit": _summary(warm_timer.histogram),
-        },
-        "equivalence": {
-            "bitwise_identical": bitwise,
-            "max_abs_diff": max_abs_diff,
-            "dtype": str(stitched.dtype),
-        },
-        "train": {
-            "total_s": round(train_s, 3),
-            "epochs_run": result.epochs_run,
-            "mean_epoch_s": round(result.mean_epoch_time, 4),
-            "best_val_acc": round(result.best_val_acc, 4),
-            "test_acc": round(result.test_acc, 4),
-        },
-    }
-    single_hist = single_timer.histogram
-    batch_hist = batch_timer.histogram
-    serve_sharded = {
-        "settings": settings,
-        "routed": {
-            "requests": int(repeats + batch_rounds * batch),
-            "per_shard": routed.tolist(),
-            "cross_shard_batches": cross_shard_batches,
-            "batch_rounds": batch_rounds,
-            "stitch_time_s": _summary(stitch_timer.histogram),
-        },
-        "latency": {
-            "single": {
-                **_summary(single_hist),
-                "p99_s": single_hist.percentile(99),
-            },
-            "batch": {
-                **_summary(batch_hist),
-                "p99_s": batch_hist.percentile(99),
-            },
-        },
-        "halo_rows": plan.halo_rows(),
-    }
-
-    paths = []
-    if write:
-        out = pathlib.Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, schema, block in (
-            ("BENCH_train.json", SCHEMA_TRAIN, train_sharded),
-            ("BENCH_serve.json", SCHEMA_SERVE, serve_sharded),
-        ):
-            path = out / name
-            doc = {}
-            if path.exists():
-                try:
-                    doc = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    doc = {}
-            if not isinstance(doc, dict):
-                doc = {}
-            doc["schema"] = schema
-            doc["sharded"] = block
-            path.write_text(json.dumps(doc, indent=2) + "\n")
-            paths.append(str(path))
-    return {
-        "train_sharded": train_sharded,
-        "serve_sharded": serve_sharded,
-        "paths": paths,
-    }
-
-
-def format_sharded_report(result: dict) -> str:
-    """Human-readable summary of a :func:`run_sharded_bench` result."""
-    train = result["train_sharded"]
-    serve = result["serve_sharded"]
-    s = train["settings"]
-    part = train["partition"]
-    prop = train["propagate"]
-    eq = train["equivalence"]
-    fit = train["train"]
-    lat = serve["latency"]
-    lines = [
-        f"sharded bench: {s['dataset']} scale={s['scale']} "
-        f"({s['num_nodes']:,} nodes, {s['num_edges']:,} edges) "
-        f"x {s['shards']} shards, k={s['k']}",
-        f"  partition: {part['plan_build_s']}s, "
-        f"edge cut {part['edge_cut_fraction']:.3f}, "
-        f"halo rows {part['halo_rows']:,}",
-        f"  propagate: sharded {prop['sharded_total_s']}s "
-        f"(stitch {prop['stitch_s']}s) vs dense {prop['dense_s']}s; "
-        f"warm hit {1e6 * prop['warm_hit']['p50_s']:.0f}us p50",
-        f"  equivalence: bitwise_identical={eq['bitwise_identical']} "
-        f"({eq['dtype']}, max |diff| {eq['max_abs_diff']:g})",
-        f"  train: {fit['epochs_run']} epochs @ {fit['mean_epoch_s']}s, "
-        f"val {100 * fit['best_val_acc']:.1f}% "
-        f"test {100 * fit['test_acc']:.1f}%",
-        f"  serve: single p50 {1e3 * lat['single']['p50_s']:.3f}ms "
-        f"p99 {1e3 * lat['single']['p99_s']:.3f}ms; "
-        f"batch({s['batch']}) p50 {1e3 * lat['batch']['p50_s']:.3f}ms; "
-        f"{serve['routed']['cross_shard_batches']} cross-shard batches",
     ]
     return "\n".join(lines)
 

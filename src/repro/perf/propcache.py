@@ -1,4 +1,4 @@
-"""Memoized propagation products ``Â^k X`` and adjacency powers.
+"""Cached propagation products ``Â^k X`` and adjacency powers.
 
 The normalized adjacency and the input features are both constants of
 the optimization problem, so every product of the form ``Â^k X`` (SGC's
@@ -123,22 +123,12 @@ def derive_fingerprint(parent: str, change: str) -> str:
 
 
 class PropagationCache:
-    """LRU cache of ``Â^k X`` products and ``Â^p`` sparse powers.
+    """LRU cache of ``Â^k X`` products and ``Â^p`` sparse powers."""
 
-    ``scope`` namespaces every key.  Content fingerprints alone are not
-    enough once the graph is sharded: two shards of the same graph can
-    hold *byte-identical* restricted blocks and features (think two
-    identical communities), and a purely content-addressed key would
-    serve shard B rows computed for shard A.  Per-shard caches therefore
-    carry the shard signature as their scope (and sharded lookups also
-    bake it into the key itself — see :meth:`Shard.propagate`).
-    """
-
-    def __init__(self, capacity: int = 64, scope: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.scope = scope
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -165,7 +155,7 @@ class PropagationCache:
     def propagate(
         self, adj: SparseMatrix, features: np.ndarray, k: int = 1
     ) -> np.ndarray:
-        """Return ``Â^k X`` as a constant float array, memoized.
+        """Return ``Â^k X`` as a constant float array, cached.
 
         Intermediate powers are cached too, so asking for ``k=2`` after
         ``k=1`` performs a single additional spmm, and a cached ``Â^k X``
@@ -181,7 +171,7 @@ class PropagationCache:
         k: int = 1,
         lowest: int = 1,
     ) -> List[np.ndarray]:
-        """The multi-power chain ``[Â^lowest X, …, Â^k X]``, memoized.
+        """The multi-power chain ``[Â^lowest X, …, Â^k X]``, cached.
 
         One pass over the matrix: the walk starts from the deepest cached
         power and each computed power feeds the next, so a cold call
@@ -200,7 +190,7 @@ class PropagationCache:
                 f"lowest power must be in [1, {k}], got {lowest}"
             )
         features = np.ascontiguousarray(features)
-        base_key = (self.scope, adj.fingerprint, fingerprint(features))
+        base_key = (adj.fingerprint, fingerprint(features))
         with self._lock:
             # chain[p] is Â^p X; chain[0] is X itself.
             chain: List[Optional[np.ndarray]] = [features] + [None] * k
@@ -225,7 +215,7 @@ class PropagationCache:
             return chain[lowest:]  # type: ignore[return-value]
 
     def adjacency_power(self, adj: SparseMatrix, k: int) -> SparseMatrix:
-        """Return ``Â^k`` as a :class:`SparseMatrix`, memoized.
+        """Return ``Â^k`` as a :class:`SparseMatrix`, cached.
 
         ``k=1`` returns the operand itself (no copy); ``k=0`` is the
         identity and is cached like any other power.
@@ -234,7 +224,7 @@ class PropagationCache:
             raise ValueError(f"adjacency power must be >= 0, got {k}")
         if k == 1:
             return adj
-        base_key = (self.scope, adj.fingerprint, "power")
+        base_key = (adj.fingerprint, "power")
         with self._lock:
             cached = self._get(base_key + (k,))
             if cached is not None:
@@ -275,7 +265,7 @@ class PropagationCache:
         """Rebase a cached ``Â^k X`` chain onto a mutated graph.
 
         Walks powers ``p = 1, 2, ...`` while the old chain
-        ``(scope, old_adj_fp, old_feat_fp, p)`` is cached, and for each
+        ``(old_adj_fp, old_feat_fp, p)`` is cached, and for each
         one inserts a patched copy under the new operator/feature
         fingerprints: clean rows keep the old entry's bytes, and the
         rows ``rows_for_power(p)`` — the closed ``p``-hop neighborhood
@@ -298,8 +288,8 @@ class PropagationCache:
         """
         prev = np.ascontiguousarray(new_features)
         n_new, width = prev.shape
-        new_base = (self.scope, new_adj.fingerprint, fingerprint(prev))
-        old_base = (self.scope, old_adj_fp, old_feat_fp)
+        new_base = (new_adj.fingerprint, fingerprint(prev))
+        old_base = (old_adj_fp, old_feat_fp)
         migrated = 0
         with self._lock:
             power = 1
@@ -327,27 +317,6 @@ class PropagationCache:
                 power += 1
         return migrated
 
-    def memoize(self, key: Tuple, compute) -> np.ndarray:
-        """Memoize an arbitrary dense product under ``(scope,) + key``.
-
-        The sharded execution layer uses this for per-shard restricted
-        propagation chains, whose intermediate operands are block
-        matrices rather than a single adjacency; the caller is
-        responsible for a key that fully identifies the computation
-        (shard signature + feature fingerprint + power).  Results are
-        frozen read-only like every other entry, and the miss is atomic
-        under the cache lock.
-        """
-        full_key = (self.scope,) + tuple(key)
-        with self._lock:
-            cached = self._get(full_key)
-            if cached is not None:
-                return cached
-            result = np.asarray(compute())
-            result.setflags(write=False)
-            self._put(full_key, result)
-            return result
-
     # ------------------------------------------------------------------
     def clear(self) -> None:
         with self._lock:
@@ -364,7 +333,6 @@ class PropagationCache:
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
-                "scope": self.scope,
                 "hits": self.hits,
                 "misses": self.misses,
             }

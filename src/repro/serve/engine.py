@@ -328,8 +328,6 @@ class InferenceEngine:
         # swap_model can never pair old weights with a new version key.
         self._active: Tuple = (model, model_fingerprint(model),
                                self._adj_fingerprint(model))
-        self.shard_plan = None
-        self.shard = None
         self.batch_window_ms = batch_window_ms
         self.max_batch = max_batch
         # Union-restricted micro-batch eval is only profitable while the
@@ -362,31 +360,6 @@ class InferenceEngine:
         self._wal: Optional[GraphMutationLog] = None
         if wal is not None:
             self.attach_wal(wal)
-
-    # -- sharding ------------------------------------------------------
-    def bind_shard(self, plan, index: int) -> "InferenceEngine":
-        """Bind this engine to shard ``index`` of a ``ShardPlan``.
-
-        A fleet of shard-bound engines replaces N full graph copies: the
-        model's propagation runs through shard-local caches (stitched
-        forwards stay bitwise-identical, so *any* node id is still
-        answered correctly), while the router above sends each node id
-        to the replica owning it.  Exposes ``shard.halo_rows`` /
-        ``shard.nodes`` gauges and a ``shard`` block in :meth:`info`.
-        """
-        if not 0 <= index < plan.num_shards:
-            raise ValueError(
-                f"shard index {index} outside [0, {plan.num_shards})"
-            )
-        self.shard_plan = plan
-        self.shard = plan.shards[index]
-        model = self._active[0]
-        if hasattr(model, "enable_sharding"):
-            model.enable_sharding(plan)
-        self.registry.gauge("shard.index").set(index)
-        self.registry.gauge("shard.nodes").set(len(self.shard.nodes))
-        self.registry.gauge("shard.halo_rows").set(len(self.shard.halo))
-        return self
 
     # -- versioning ----------------------------------------------------
     @staticmethod
@@ -539,8 +512,9 @@ class InferenceEngine:
 
         The transactional order is the whole point:
 
-        1. preflight against live state (409 ``graph_conflict`` before
-           anything is written);
+        1. preflight against live state and the model (409 before
+           anything is written: a conflicting op, or node growth on a
+           model bound to its node count, ``node_bound_model``);
         2. duplicate ``update_id`` → acknowledged no-op (idempotent
            retries are safe at every failure point below);
         3. fsync the WAL record — *the commit point*;
@@ -553,12 +527,6 @@ class InferenceEngine:
         memory, so the engine fences itself (503 ``needs_recovery``) and
         keeps serving the last consistent graph until restarted.
         """
-        if self.shard_plan is not None:
-            raise ServeError(
-                "graph updates are not supported on shard-bound replicas; "
-                "run the fleet unsharded to serve a dynamic graph",
-                status=501, code="not_supported",
-            )
         with self._update_lock, self.tracer.span(
             "serve.graph_update.apply", ops=batch.num_ops
         ) as span:
@@ -586,6 +554,17 @@ class InferenceEngine:
             except MutationConflict as exc:
                 self.registry.counter("serve.graph.conflicts").inc()
                 raise GraphConflict(str(exc), code=exc.code) from exc
+            num_nodes = self.graph.num_nodes + batch.add_nodes
+            model = self._active[0]
+            if not model.can_attach(num_nodes):
+                self.registry.counter("serve.graph.conflicts").inc()
+                raise GraphConflict(
+                    f"the model's parameters are bound to "
+                    f"{self.graph.num_nodes} nodes and cannot serve a graph "
+                    f"with {num_nodes}; node growth needs a model that is "
+                    "not node-bound (e.g. Lasagne with aggregator='maxpool')",
+                    code="node_bound_model",
+                )
             self._update_hook("pre-wal")
             if self._wal is not None:
                 with self.tracer.span("serve.graph_update.wal"):
@@ -1280,13 +1259,6 @@ class InferenceEngine:
             }
         if self._needs_recovery:
             info["needs_recovery"] = True
-        if self.shard is not None:
-            info["shard"] = {
-                "index": self.shard.index,
-                "num_shards": self.shard_plan.num_shards,
-                "nodes": int(len(self.shard.nodes)),
-                "halo_rows": int(len(self.shard.halo)),
-            }
         return info
 
 

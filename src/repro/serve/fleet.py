@@ -97,16 +97,11 @@ class FleetConfig:
     store_wait_s: float = 2.0
     store_lease_ttl_s: float = 30.0
 
-    # Graph sharding: replica i binds shard i of this ShardPlan and the
-    # router switches from round-robin to ownership routing.  Requires
-    # workers == plan.num_shards (validated by ServingFleet).
-    shard_plan: Optional[object] = field(default=None, repr=False)
-
     # Dynamic graph updates: each replica opens its own
     # GraphMutationLog under ``<wal_dir>/replica-<index>/`` and replays
     # it before binding, so a re-forked replica (which inherits the
     # parent's pristine version-0 engine) catches back up to the last
-    # committed graph_version on its own.  Incompatible with shard_plan.
+    # committed graph_version on its own.
     wal_dir: Optional[str] = None
 
     # Test/chaos hook: called as ``start_hook(index)`` in the replica
@@ -155,11 +150,6 @@ def _worker_main(
     engine._singleflight = SingleFlight()
     if shared_store is not None:
         engine.logit_store = shared_store
-    if config.shard_plan is not None:
-        # Ownership contract with the router: replica index == shard
-        # index.  Binding routes the model's propagation through
-        # shard-local caches (stitched forwards stay full-graph-correct).
-        engine.bind_shard(config.shard_plan, index)
     if config.update_fault_hook is not None:
         engine.update_fault_hook = config.update_fault_hook
     if config.wal_dir is not None:
@@ -233,20 +223,6 @@ class ServingFleet:
         self.config = config if config is not None else FleetConfig()
         self.engine = engine
         cfg = self.config
-        if (
-            cfg.shard_plan is not None
-            and cfg.workers != cfg.shard_plan.num_shards
-        ):
-            raise ValueError(
-                f"shard mode needs one replica per shard: workers="
-                f"{cfg.workers} != num_shards={cfg.shard_plan.num_shards}"
-            )
-        if cfg.shard_plan is not None and cfg.wal_dir is not None:
-            raise ValueError(
-                "dynamic graph updates (wal_dir) are not supported in "
-                "shard mode: mutating one shard's adjacency invalidates "
-                "its siblings' halo rows"
-            )
         self._ctx = multiprocessing.get_context("fork")
         self.store: Optional[SharedLogitStore] = None
         if cfg.shared_store:
@@ -268,7 +244,6 @@ class ServingFleet:
             registry=registry,
             tracer=tracer,
             max_body_bytes=cfg.max_body_bytes,
-            shard_plan=cfg.shard_plan,
         )
         self.supervisor = Supervisor(
             self._spawn_worker,

@@ -35,19 +35,6 @@ Tracing: each proxied request runs under a ``serve.route`` root span
 (continuing an inbound ``X-Trace-Id``); the sibling replay appears as
 a child ``serve.retry_sibling`` span, and the replica continues the
 same trace over the proxied ``X-Trace-Id`` header.
-
-**Shard mode** (``shard_plan=...``): replica ``i`` owns shard ``i`` of a
-:class:`~repro.graphs.ShardPlan`, and round-robin gives way to
-ownership routing — each ``/predict`` node id goes to the replica whose
-shard owns it, cross-shard payloads are split per owner and re-merged
-in request order (timed under ``shard.stitch_time_s``), and anything
-the router cannot confidently split (malformed bodies, out-of-range
-ids) is forwarded whole to one replica so the single-server validation
-errors — including the stable ``node_out_of_range`` 4xx — pass through
-byte-for-byte.  Every replica still holds the full (stitched) model, so
-a request landing on a non-owner is slower, never wrong; ``/fleet``
-reports shard ownership and ``/metrics`` gains the
-``shard.{halo_rows,stitch_time_s,routed,split,misrouted}`` family.
 """
 
 from __future__ import annotations
@@ -58,8 +45,6 @@ import socket
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.obs import MetricsRegistry, get_logger, get_registry, get_tracer
 from repro.serve.errors import Overloaded, ServeError
@@ -147,10 +132,8 @@ class FleetRouter:
         registry: Optional[MetricsRegistry] = None,
         tracer=None,
         max_body_bytes: int = 1 << 20,
-        shard_plan=None,
     ) -> None:
         self.replica_host = replica_host
-        self.shard_plan = shard_plan
         self.max_inflight_per_replica = max_inflight_per_replica
         self.probe_interval_s = probe_interval_s
         self.probe_timeout_s = probe_timeout_s
@@ -181,9 +164,6 @@ class FleetRouter:
         self._pools: Dict[Tuple[str, int], List] = {}
         self._pool_lock = threading.Lock()
         self._httpd = FrontDoorServer((host, port), _RouterHandler, self)
-        if shard_plan is not None:
-            self.registry.gauge("shard.halo_rows").set(shard_plan.halo_rows())
-            self.registry.gauge("shard.num_shards").set(shard_plan.num_shards)
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -424,8 +404,6 @@ class FleetRouter:
         self, raw: bytes, inbound_headers
     ) -> Tuple[int, bytes, dict]:
         """Proxy one ``/predict``; retry once on a mid-request death."""
-        if self.shard_plan is not None:
-            return self._route_sharded(raw, inbound_headers)
         registry = self.registry
         registry.counter("fleet.router.requests").inc()
         idempotent = (
@@ -542,216 +520,6 @@ class FleetRouter:
             with self._inflight_lock:
                 self._inflight -= 1
 
-    # -- shard routing --------------------------------------------------
-    def _split_shard_payload(self, raw: bytes):
-        """Owner groups for a shard-routable payload, or ``None``.
-
-        Returns ``(payload, [(owner, positions), ...])`` sorted by owner
-        when the body is a well-formed predict request whose node ids
-        are all in range.  Anything else returns ``None`` and the caller
-        forwards the raw body whole, so the single-server validation
-        (including the stable ``node_out_of_range`` 4xx) answers it.
-        """
-        plan = self.shard_plan
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        nodes = payload.get("nodes")
-        if not isinstance(nodes, list) or not nodes:
-            return None
-        for value in nodes:
-            if isinstance(value, bool) or not isinstance(value, int):
-                return None
-        ids = np.asarray(nodes, dtype=np.int64)
-        if ((ids < 0) | (ids >= plan.num_nodes)).any():
-            return None
-        features = payload.get("features")
-        if features is not None and (
-            not isinstance(features, list) or len(features) != len(nodes)
-        ):
-            return None
-        owners = plan.shard_of(ids)
-        groups = [
-            (int(owner), np.flatnonzero(owners == owner))
-            for owner in np.unique(owners)
-        ]
-        return payload, groups
-
-    def _shard_replica(self, index: int) -> Optional[Replica]:
-        """The owning replica, acquired — or ``None`` if it can't serve."""
-        with self._table_lock:
-            replica = self._replicas.get(index)
-        if (
-            replica is not None
-            and replica.healthy
-            and replica.try_acquire(self.max_inflight_per_replica)
-        ):
-            return replica
-        return None
-
-    def _send_shard(
-        self, owner: int, body: bytes, headers: dict
-    ) -> Tuple[int, bytes, dict]:
-        """Forward one (sub-)request to the replica owning ``owner``.
-
-        Every replica computes stitched (full-graph-correct) logits, so
-        when the owner is down or saturated the request falls back to
-        any healthy replica — counted as ``shard.misrouted`` because it
-        paid a non-owner's cold path, but never wrong.
-        """
-        registry = self.registry
-        replica = self._shard_replica(owner)
-        if replica is None:
-            registry.counter("shard.misrouted").inc()
-            replica = self._pick()
-            if replica is None:
-                raise ServeError(
-                    f"no healthy replica available for shard {owner}",
-                    code="no_replicas", status=503,
-                    detail={"shard": owner,
-                            "replicas": len(self.replicas())},
-                )
-        registry.counter("shard.routed").inc()
-        self.tracer.annotate(replica=replica.index)
-        try:
-            return self._forward(replica, "POST", "/predict", body, headers)
-        except _TRANSPORT_ERRORS as exc:
-            replica.healthy = False
-            with replica._lock:
-                replica.failures += 1
-            registry.counter("fleet.router.replica_errors").inc()
-            sibling = self._pick(exclude=replica.index)
-            if sibling is None:
-                raise ServeError(
-                    f"replica for shard {owner} died mid-request and no "
-                    "healthy sibling is available",
-                    code="replica_lost", status=503,
-                ) from exc
-            registry.counter("fleet.router.retried_sibling").inc()
-            registry.counter("shard.misrouted").inc()
-            try:
-                with self.tracer.span(
-                    "serve.retry_sibling", replica=sibling.index
-                ):
-                    return self._forward(
-                        sibling, "POST", "/predict", body, headers
-                    )
-            except _TRANSPORT_ERRORS as exc2:
-                sibling.healthy = False
-                raise ServeError(
-                    "replica died mid-request and its sibling did too",
-                    code="replica_lost", status=503,
-                ) from exc2
-            finally:
-                sibling.release()
-        finally:
-            replica.release()
-
-    def _route_sharded(
-        self, raw: bytes, inbound_headers
-    ) -> Tuple[int, bytes, dict]:
-        """Ownership-routed ``/predict``: split per shard, merge in order."""
-        registry = self.registry
-        registry.counter("fleet.router.requests").inc()
-        span = self.tracer.trace(
-            "serve.route", trace_id=inbound_headers.get("X-Trace-Id")
-        )
-        with self._inflight_lock:
-            self._inflight += 1
-        try:
-            with span:
-                headers = {"Content-Type": "application/json"}
-                if span.trace_id:
-                    headers["X-Trace-Id"] = span.trace_id
-                split = self._split_shard_payload(raw)
-                if split is None:
-                    # Not confidently splittable: one replica's own
-                    # validation produces the canonical error/answer.
-                    return self._send_shard(0, raw, headers)
-                payload, groups = split
-                self.tracer.annotate(shards=[owner for owner, _ in groups])
-                if len(groups) == 1:
-                    # Single-owner fast path: forward the original bytes
-                    # untouched (replica response passes through as-is).
-                    return self._send_shard(groups[0][0], raw, headers)
-
-                registry.counter("shard.split").inc()
-                nodes = payload["nodes"]
-                features = payload.get("features")
-                passthrough = {
-                    key: payload[key]
-                    for key in ("deadline_ms", "return_probabilities")
-                    if key in payload
-                }
-                responses = []
-                for owner, positions in groups:
-                    sub = dict(passthrough)
-                    sub["nodes"] = [nodes[int(p)] for p in positions]
-                    if features is not None:
-                        sub["features"] = [
-                            features[int(p)] for p in positions
-                        ]
-                    status, body, resp_headers = self._send_shard(
-                        owner, json.dumps(sub).encode("utf-8"), headers
-                    )
-                    if status != 200:
-                        # First failing sub-request answers the whole
-                        # payload — replica errors are answers.
-                        return status, body, resp_headers
-                    responses.append((positions, _safe_json(body)))
-
-                with registry.timer("shard.stitch_time_s"):
-                    merged = self._merge_shard_responses(
-                        len(nodes), groups, responses
-                    )
-                merged_raw = json.dumps(merged).encode("utf-8")
-                return 200, merged_raw, {"Content-Type": "application/json"}
-        finally:
-            with self._inflight_lock:
-                self._inflight -= 1
-
-    @staticmethod
-    def _merge_shard_responses(count, groups, responses) -> dict:
-        """Re-assemble per-shard answers in original request order."""
-        merged: dict = {
-            "nodes": [None] * count,
-            "classes": [None] * count,
-            "sharded": True,
-            "shards": [owner for owner, _ in groups],
-        }
-        degraded = False
-        cached = True
-        probabilities = None
-        latency = 0.0
-        for positions, body in responses:
-            if not isinstance(body, dict):
-                raise ServeError(
-                    "shard replica returned a non-JSON predict body",
-                    code="bad_shard_response", status=502,
-                )
-            for local, position in enumerate(int(p) for p in positions):
-                merged["nodes"][position] = body["nodes"][local]
-                merged["classes"][position] = body["classes"][local]
-            if body.get("probabilities") is not None:
-                if probabilities is None:
-                    probabilities = [None] * count
-                for local, position in enumerate(int(p) for p in positions):
-                    probabilities[position] = body["probabilities"][local]
-            degraded = degraded or bool(body.get("degraded"))
-            cached = cached and bool(body.get("cached"))
-            latency = max(latency, float(body.get("latency_ms") or 0.0))
-            if "model" in body and "model" not in merged:
-                merged["model"] = body["model"]
-        merged["degraded"] = degraded
-        merged["cached"] = cached
-        merged["latency_ms"] = round(latency, 3)
-        if probabilities is not None:
-            merged["probabilities"] = probabilities
-        return merged
-
     # -- dynamic graph updates ------------------------------------------
     def handle_graph_update(self, raw: bytes) -> tuple:
         """Broadcast one mutation batch to every healthy replica.
@@ -764,11 +532,6 @@ class FleetRouter:
         commits — lagging replicas are fenced on ``/predict`` until they
         catch up (or are restarted and recover via WAL replay).
         """
-        if self.shard_plan is not None:
-            raise ServeError(
-                "graph updates are not supported on a shard-bound fleet",
-                code="not_supported", status=501,
-            )
         registry = self.registry
         registry.counter("fleet.router.graph_updates").inc()
         results = self.broadcast("POST", "/graph/update", raw)
@@ -934,12 +697,6 @@ class FleetRouter:
                 if self.supervisor is not None else None
             ),
         }
-        if self.shard_plan is not None:
-            info = self.shard_plan.info()
-            # Ownership contract: replica index == shard index.
-            for shard in info["shards"]:
-                shard["replica"] = shard["index"]
-            payload["sharding"] = info
         return 200, payload
 
     def handle_reload(self) -> tuple:

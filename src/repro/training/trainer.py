@@ -217,7 +217,6 @@ class Trainer:
         fault_hook: Optional[Callable[[int, GNNModel, nn.Optimizer], None]] = None,
         checkpoint_metadata: Optional[dict] = None,
         tracer=None,
-        shards: Optional[int] = None,
     ) -> TrainResult:
         """Train ``model`` on ``graph`` and return the result.
 
@@ -240,15 +239,6 @@ class Trainer:
         stores the invocation there so ``python -m repro resume`` can
         rebuild the model).
 
-        ``shards=N`` (N >= 2) builds a :class:`~repro.graphs.ShardPlan`
-        over the model's own normalized operator and routes every
-        eligible ``Â^k X`` product through shard-local propagation with
-        per-shard caches — bitwise-identical to dense training (see
-        ``docs/sharding.md``), so loss curves and checkpoints match the
-        unsharded run exactly.  Transductive only: inductive training
-        re-attaches a differently-sized graph mid-fit, which would need
-        a second plan.
-
         ``tracer`` (defaulting to the process-wide
         :func:`repro.obs.get_tracer`, which is disabled until
         configured) wraps the fit in a ``train.fit`` root trace with one
@@ -263,33 +253,6 @@ class Trainer:
         model.setup(graph)  # full view first: sizes node-aware params to N
         if inductive:
             model.attach(train_view)
-
-        shard_plan = None
-        if shards is not None and shards > 1:
-            if inductive:
-                raise ValueError(
-                    "sharded training is transductive-only (shards=N is "
-                    "incompatible with inductive=True)"
-                )
-            from repro.graphs.shard import build_shard_plan, operator_adjacency
-
-            operator = operator_adjacency(model._norm_adj)
-            if operator is None:
-                raise ValueError(
-                    f"{type(model).__name__} has no shardable normalized "
-                    "adjacency operator; sharded training needs one"
-                )
-            shard_plan = build_shard_plan(
-                graph, adj=operator, num_shards=shards, seed=cfg.seed
-            )
-            model.enable_sharding(shard_plan)
-            get_registry().gauge("shard.halo_rows").set(shard_plan.halo_rows())
-            _LOG.info(
-                "sharded training: %d shards, %d halo rows, edge cut %.3f",
-                shard_plan.num_shards,
-                shard_plan.halo_rows(),
-                shard_plan.edge_cut,
-            )
 
         optimizer = nn.Adam(
             model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay

@@ -473,71 +473,6 @@ class TestFleetEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# Sharded fleet: plan distribution into forked replicas
-# ---------------------------------------------------------------------------
-
-@pytest.mark.shard
-class TestShardedFleet:
-    def _plan(self, graph, num_shards=2):
-        from repro.graphs import build_shard_plan, operator_adjacency
-
-        engine = make_engine(graph)
-        return build_shard_plan(
-            graph,
-            adj=operator_adjacency(engine.model._norm_adj),
-            num_shards=num_shards,
-        )
-
-    def test_workers_must_match_shards(self, graph):
-        from repro.serve.fleet import ServingFleet
-
-        with pytest.raises(ValueError, match="one replica per shard"):
-            ServingFleet(
-                make_engine(graph),
-                FleetConfig(workers=3, shard_plan=self._plan(graph, 2)),
-            )
-
-    def test_forked_replicas_bind_shards_and_merge(self, graph):
-        plan = self._plan(graph, num_shards=2)
-        with make_fleet(graph, shard_plan=plan) as fleet:
-            assert fleet.wait_ready(timeout_s=30.0)
-            client = ServeClient(fleet.url, retries=3)
-
-            # Single-shard request: forwarded verbatim to the owner.
-            node = int(plan.shards[1].nodes[0])
-            body = client.predict([node])
-            assert body["nodes"] == [node]
-            assert "sharded" not in body
-
-            # Cross-shard request: split per owner, merged in order.
-            nodes = [
-                int(plan.shards[1].nodes[1]),
-                int(plan.shards[0].nodes[0]),
-                int(plan.shards[1].nodes[2]),
-            ]
-            merged = client.predict(nodes)
-            assert merged["sharded"] is True
-            assert merged["nodes"] == nodes
-            assert sorted(merged["shards"]) == [0, 1]
-            assert len(merged["classes"]) == len(nodes)
-
-            # Each forked replica reports its bound shard; the router
-            # reports the ownership topology.
-            status, view = get_json(fleet.url + "/fleet")
-            assert status == 200
-            sharding = view["sharding"]
-            assert sharding["num_shards"] == 2
-            assert [s["replica"] for s in sharding["shards"]] == [0, 1]
-            status, metrics = get_json(fleet.url + "/metrics")
-            assert status == 200
-            indices = sorted(
-                r["metrics"]["metrics"]["shard.index"]["value"]
-                for r in metrics["replicas"].values()
-            )
-            assert indices == [0, 1]
-
-
-# ---------------------------------------------------------------------------
 # Chaos soak: random SIGKILLs under stampede load  (-m "fleet and slow")
 # ---------------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ Acceptance contract under test (ISSUE 9):
   update batches (edge adds/removes, node growth, feature upserts), the
   incrementally maintained ``Â^k X`` chain and the served logits are
   **bitwise-identical** (``np.array_equal``) to a from-scratch rebuild
-  of the mutated graph, for the dense and the sharded propagation path;
+  of the mutated graph;
 - **Crash-recovery harness** — a crash at any injected fault point
   (``pre-wal`` / ``wal-committed`` / ``pre-publish``) loses at most the
   uncommitted batch: WAL replay converges to the last committed
@@ -41,7 +41,6 @@ from repro.graphs.mutate import (
     normalization_state,
 )
 from repro.graphs.normalize import gcn_norm
-from repro.graphs.shard import build_shard_plan
 from repro.obs import MetricsRegistry
 from repro.perf import config as perf_config
 from repro.perf import perf_mode, propcache
@@ -399,7 +398,7 @@ class TestEquivalenceHarness:
         pytest.param("sgc", "perf_mode", id="sgc-perf_mode"),
         pytest.param("gcn", "perf_mode", id="gcn-perf_mode"),
     ])
-    def test_50_batches_bitwise_dense_and_sharded(
+    def test_50_batches_bitwise_vs_rebuild(
         self, graph, tmp_path, model_name, mode
     ):
         context = perf_mode() if mode == "perf_mode" else contextlib.nullcontext()
@@ -451,8 +450,8 @@ class TestEquivalenceHarness:
         assert stored is not None and np.array_equal(stored, rebuilt)
 
         # Maintained Â^k X chain — the one keyed by the model's own
-        # feature tensor — bitwise vs dense and sharded rebuilds from a
-        # fresh cast of the final graph's features.
+        # feature tensor — bitwise vs a dense rebuild from a fresh cast
+        # of the final graph's features.
         live_op = engine.model._norm_adj
         rebuilt_op = gcn_norm(mutated.adj)
         assert np.array_equal(live_op.csr.data, rebuilt_op.csr.data)
@@ -465,8 +464,6 @@ class TestEquivalenceHarness:
         assert np.array_equal(maintained, scratch)
         if model_name == "sgc":
             assert np.array_equal(engine.model._propagated.data, scratch)
-        plan = build_shard_plan(mutated, adj=rebuilt_op, num_shards=3, seed=0)
-        assert np.array_equal(plan.propagate(features, 2), scratch)
 
     def test_duplicate_update_id_is_acknowledged_noop(self, graph, tmp_path):
         engine = make_engine(
@@ -500,14 +497,113 @@ class TestEquivalenceHarness:
         assert len(wal) == 0
         assert engine.graph_version == 0
 
-    def test_sharded_engine_refuses_updates(self, graph):
-        g = clone_graph(graph)
-        engine = make_engine(g)
-        plan = build_shard_plan(g, adj=engine.model._norm_adj, num_shards=2, seed=0)
-        engine.bind_shard(plan, 0)
-        with pytest.raises(ServeError) as err:
-            engine.apply_update(UpdateBatch(update_id="s1", add_edges=[(0, 50)]))
-        assert err.value.status == 501
+
+# ---------------------------------------------------------------------------
+# Node-bound models: node growth is refused before the WAL commit point
+# ---------------------------------------------------------------------------
+
+class TestNodeBoundModels:
+    """Weighted and stochastic Lasagne size parameters by N, so node
+    growth must be a 409 before the WAL append, never a record that
+    fences the engine and fails every later replay."""
+
+    @pytest.fixture(scope="class")
+    def cora(self):
+        from repro.datasets import load_dataset
+
+        return load_dataset("cora")
+
+    @staticmethod
+    def build(graph, name):
+        if name in ("sgc", "gcn"):
+            return make_model(graph, name)
+        from repro.core import Lasagne
+
+        return Lasagne(
+            graph.num_features, 16, graph.num_classes, num_layers=4,
+            aggregator=name.split("-")[1], seed=0,
+        )
+
+    def engine(self, graph, name, wal_dir):
+        return InferenceEngine(
+            self.build(graph, name), clone_graph(graph),
+            registry=MetricsRegistry(),
+            wal=GraphMutationLog.in_dir(wal_dir),
+        )
+
+    @staticmethod
+    def grow(graph):
+        return UpdateBatch(
+            update_id="grow-1", add_nodes=1,
+            add_edges=[(0, graph.num_nodes)],
+            new_features=np.zeros((1, graph.num_features)),
+        )
+
+    @staticmethod
+    def non_edge(graph):
+        row = graph.adj[0].toarray().ravel()
+        candidates = np.flatnonzero(row == 0)
+        return 0, int(candidates[candidates != 0][0])
+
+    @pytest.mark.parametrize(
+        "name", ["lasagne-weighted", "lasagne-stochastic"]
+    )
+    def test_node_growth_is_409_before_the_wal(self, cora, tmp_path, name):
+        engine = self.engine(cora, name, tmp_path)
+        with pytest.raises(GraphConflict) as err:
+            engine.apply_update(self.grow(cora))
+        assert err.value.status == 409
+        assert err.value.code == "node_bound_model"
+        assert len(engine._wal) == 0
+        assert engine.graph_version == 0
+        assert engine.graph.num_nodes == cora.num_nodes
+        assert engine.registry.counter("serve.graph.conflicts").value == 1
+        # Not fenced: the next valid update applies.
+        result = engine.apply_update(
+            UpdateBatch(update_id="edge-1", add_edges=[self.non_edge(cora)])
+        )
+        assert result["applied"] is True and result["graph_version"] == 1
+        # And the WAL replays into a fresh engine.
+        fresh = self.engine(cora, name, tmp_path)
+        assert fresh.graph_version == 1
+        assert (fresh.graph.adj != engine.graph.adj).nnz == 0
+
+    def test_node_growth_409_over_http(self, cora, tmp_path):
+        engine = self.engine(cora, "lasagne-weighted", tmp_path)
+        with ModelServer(engine, port=0, registry=MetricsRegistry()) as server:
+            client = ServeClient(server.url, retries=0)
+            with pytest.raises(ServeClientError) as err:
+                client.update_graph(
+                    "grow-http", add_nodes=1,
+                    new_node_features=np.zeros((1, cora.num_features)),
+                    add_edges=[(0, cora.num_nodes)],
+                )
+            assert err.value.status == 409
+            assert err.value.body["error"]["code"] == "node_bound_model"
+        assert len(engine._wal) == 0
+
+    @pytest.mark.parametrize("name", ["lasagne-maxpool", "sgc", "gcn"])
+    def test_unbound_models_accept_node_growth(self, cora, tmp_path, name):
+        engine = self.engine(cora, name, tmp_path)
+        result = engine.apply_update(self.grow(cora))
+        assert result["applied"] is True
+        assert result["num_nodes"] == cora.num_nodes + 1
+        assert len(engine._wal) == 1
+        fresh = self.engine(cora, name, tmp_path)
+        assert fresh.graph_version == 1
+        assert fresh.graph.num_nodes == cora.num_nodes + 1
+
+    def test_can_attach_is_the_one_node_bound_rule(self, cora):
+        model = self.build(cora, "lasagne-weighted")
+        # Unattached: the node-aware parameters are not sized yet.
+        assert model.can_attach(cora.num_nodes + 1)
+        model.setup(cora)
+        assert model.can_attach(cora.num_nodes)
+        assert not model.can_attach(cora.num_nodes + 1)
+        assert self.build(cora, "lasagne-maxpool").setup(cora).can_attach(
+            cora.num_nodes + 1
+        )
+        assert make_model(cora, "gcn").setup(cora).can_attach(1)
 
 
 # ---------------------------------------------------------------------------
@@ -725,17 +821,17 @@ class TestUpdateCost:
             assert engine.logit_store._entries[key] is entry
             assert engine.logit_store.get_rows(key, [hub]) is not None
 
-            # A frozen buffer is hashed at most once: a second sharded
-            # propagation of the same features hashes nothing.
-            plan = build_shard_plan(
-                engine.graph, adj=engine.model._norm_adj, num_shards=2, seed=0
-            )
-            caches = [propcache.PropagationCache(scope=shard.signature)
-                      for shard in plan.shards]
+            # A frozen buffer is hashed at most once: a second cold
+            # cache propagating the same features hashes nothing.
+            operator = engine.model._norm_adj
             features = propcache.freeze(np.array(engine.model._features.data))
-            first = plan.propagate_chain(features, 2, caches=caches)
+            first = propcache.PropagationCache().propagate_chain(
+                operator, features, 2
+            )
             assert hashed == [features.shape]
-            second = plan.propagate_chain(features, 2, caches=caches)
+            second = propcache.PropagationCache().propagate_chain(
+                operator, features, 2
+            )
             assert hashed == [features.shape]
             for a, b in zip(first, second):
                 assert np.array_equal(a, b)

