@@ -128,11 +128,20 @@ def test_fused_layer_not_slower_than_unfused(operands):
 def test_fast_path_epoch_speedup(operands):
     # The PR's headline acceptance: float32 + fused + cached training is
     # at least 1.5× faster per epoch than the float64 reference on the
-    # synthetic benchmark (GCN, the canonical model).
-    result = run_bench(models=("gcn",), epochs=8, repeats=10, write=False)
-    speedup = result["train"]["speedup"]["gcn"]
-    assert speedup is not None and speedup >= 1.5, (
-        f"optimized epoch speedup {speedup}× below the 1.5× floor"
+    # synthetic benchmark (GCN, the canonical model).  Compared as the
+    # ratio of median epochs over 30 steady epochs per mode (the bench
+    # drops the warm-up epoch), so that one descheduled epoch cannot
+    # decide it.
+    result = run_bench(models=("gcn",), epochs=31, repeats=10, write=False)
+    p50 = {
+        mode: result["train"]["modes"][mode]["models"]["gcn"]["p50_epoch_s"]
+        for mode in ("reference", "optimized")
+    }
+    speedup = p50["reference"] / p50["optimized"]
+    assert speedup >= 1.5, (
+        f"optimized p50 epoch speedup {speedup:.3f}× below the 1.5× floor "
+        f"(reference {1e3 * p50['reference']:.2f} ms, "
+        f"optimized {1e3 * p50['optimized']:.2f} ms)"
     )
 
 

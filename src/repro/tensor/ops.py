@@ -77,7 +77,15 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     softmax_data = np.exp(out_data)
 
     def backward_fn(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad - softmax_data * grad.sum(axis=axis, keepdims=True))
+        g = grad - softmax_data * grad.sum(axis=axis, keepdims=True)
+        # Flush to zero, the rule CPU ML runtimes apply to float32: an
+        # overconfident fit puts subnormal probabilities into the loss
+        # gradient, and every matmul and spmm of the backward that touches
+        # one runs several times slower.  Entries below the smallest normal
+        # become a zero of the same sign; float64 reaches that only at
+        # logit margins above about 708.
+        np.multiply(g, 0, out=g, where=np.abs(g) < np.finfo(g.dtype).tiny)
+        x.accumulate_grad(g)
 
     return Tensor(out_data, True, (x,), backward_fn, name="log_softmax")
 
@@ -131,6 +139,15 @@ def dropout(
 
     At evaluation time (``training=False``) this is the identity, matching
     the usual deep-learning convention.
+
+    Stream contract: a training call draws exactly ``x.size`` float64
+    uniforms, ``rng.random(x.shape)`` in C order, whatever the dtype of
+    ``x``, and keeps entry ``i`` iff ``u[i] >= p``.  A float32 run
+    therefore consumes the same random sequence as its float64 twin and
+    drops the same entries.  The result is ``(x * keep) * s`` with ``s``
+    the scale ``1/(1-p)`` rounded once to ``x``'s dtype: bit for bit
+    ``x * (keep / (1-p)).astype(dtype)``, signed zeros, NaN and ±inf
+    included.
     """
     x = _as_tensor(x)
     if not training or p <= 0.0:
@@ -139,15 +156,19 @@ def dropout(
         raise ValueError(f"dropout probability must be < 1, got {p}")
     if rng is None:
         rng = _DEFAULT_RNG
-    # Masks follow the input dtype so a float32 fast-path forward is not
-    # silently upcast back to float64 by the float64 random draw.
-    keep = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.data.dtype, copy=False)
+    keep = rng.random(x.shape) >= p
+    # Rounded to x's dtype before the product, as the float mask was, even
+    # for a numpy float64 ``p``.
+    scale = x.data.dtype.type(1.0 / (1.0 - p))
     out_data = x.data * keep
+    out_data *= scale
     if not x._needs_tape():
         return Tensor(out_data)
 
     def backward_fn(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * keep)
+        masked = grad * keep
+        masked *= scale
+        x.accumulate_grad(masked)
 
     return Tensor(out_data, True, (x,), backward_fn, name="dropout")
 

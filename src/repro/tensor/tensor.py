@@ -211,8 +211,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One pass with the bits of ``zeros_like(data) += grad``: the
+            # same −0.0 → +0.0, broadcast to ``data``'s shape and cast to
+            # its dtype, without zero-filling the buffer first.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None

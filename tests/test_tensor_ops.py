@@ -15,6 +15,16 @@ def randp(*shape):
     return parameter(RNG.normal(size=shape))
 
 
+def bits(a):
+    """The raw bit patterns of a float array (tells −0.0 and NaNs apart)."""
+    a = np.ascontiguousarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+
+
+#: ±0.0, NaN of both signs and ±inf, each repeated across both mask outcomes.
+SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+
+
 class TestActivations:
     def test_relu_values(self):
         out = ops.relu(Tensor([-1.0, 0.0, 2.0]))
@@ -143,6 +153,65 @@ class TestDropout:
         out.sum().backward()
         np.testing.assert_allclose(x.grad, out.data)  # grad == keep mask scaling
 
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_float_mask_formula(self, dtype, p):
+        # The formula dropout used to compute, with a float mask in x's dtype.
+        def reference(data, rng):
+            keep = ((rng.random(data.shape) >= p) / (1 - p)).astype(data.dtype)
+            return data * keep, keep
+
+        data = np.random.default_rng(11).standard_normal((64, 19)).astype(dtype)
+        grad = np.random.default_rng(12).standard_normal(data.shape).astype(dtype)
+        data.flat[:600] = np.resize(np.array(SPECIALS, dtype), 600)
+        grad.flat[-600:] = np.resize(np.array(SPECIALS, dtype), 600)
+        ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        with np.errstate(invalid="ignore"):
+            ref_out, keep = reference(data, ref_rng)
+            ref_grad = np.zeros_like(data)
+            ref_grad += grad * keep
+            x = Tensor(data.copy(), requires_grad=True)
+            out = ops.dropout(x, p, training=True, rng=rng)
+            out.backward(grad)
+        # Each special value meets both a kept and a dropped entry.
+        for window in (keep.flat[:600], keep.flat[-600:]):
+            per_special = window.reshape(-1, len(SPECIALS))
+            assert (per_special == 0).any(axis=0).all()
+            assert (per_special != 0).any(axis=0).all()
+        assert out.dtype == dtype and x.grad.dtype == dtype
+        assert np.array_equal(bits(out.data), bits(ref_out))
+        assert np.array_equal(bits(x.grad), bits(ref_grad))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestAccumulateGrad:
+    """A first gradient is filled in one pass with the bits of zeros + grad."""
+
+    @pytest.mark.parametrize(
+        "data, grad",
+        [
+            (np.ones((3, 4)), np.full((3, 4), -0.0)),
+            (np.ones((3, 4), np.float32), np.random.default_rng(1).normal(size=(3, 4))),
+            (np.ones((3, 4)), np.random.default_rng(2).normal(size=4)),
+            (np.ones((3, 4)), np.random.default_rng(3).normal(size=(1, 4)).astype(np.float32)),
+        ],
+        ids=["negative-zero", "float64-into-float32", "broadcast", "broadcast-upcast"],
+    )
+    def test_first_use_matches_zero_fill(self, data, grad):
+        expected = np.zeros_like(data)
+        expected += grad
+        t = Tensor(data, requires_grad=True)
+        t.accumulate_grad(grad)
+        assert t.grad.dtype == data.dtype and t.grad.shape == data.shape
+        assert np.array_equal(bits(t.grad), bits(expected))
+        t.accumulate_grad(grad)
+        expected += grad
+        assert np.array_equal(bits(t.grad), bits(expected))
+
+    def test_unbroadcastable_gradient_rejected(self):
+        with pytest.raises(ValueError):
+            Tensor(np.ones(3), requires_grad=True).accumulate_grad(np.ones((2, 3)))
+
 
 class TestMaximumScatterSegment:
     def test_maximum_values(self):
@@ -254,6 +323,51 @@ class TestLosses:
         logits = Tensor(np.zeros((3, 4)))
         loss = F.cross_entropy(logits, np.array([0, 1, 2]))
         assert abs(loss.item() - np.log(4)) < 1e-12
+
+    @staticmethod
+    def _overconfident_logits(dtype):
+        # Rows 0-5 carry a training margin of 95: every other class gets
+        # probability exp(-95) ≈ 5.5e-42, below float32's smallest normal.
+        # Rows 6-8 are ordinary logits whose gradient stays normal.
+        targets = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0])
+        data = np.random.default_rng(4).normal(size=(9, 4))
+        data[:6] = 0.0
+        data[np.arange(6), targets[:6]] = 95.0
+        return data.astype(dtype), targets
+
+    @staticmethod
+    def _unflushed_grad(data, targets):
+        # ``logits.grad`` of F.cross_entropy before the flush: the nll
+        # backward, the plain log_softmax backward, a first accumulation.
+        n = len(targets)
+        softmax = np.exp(ops.log_softmax(Tensor(data)).data)
+        upstream = np.zeros_like(data)
+        upstream[np.arange(n), targets] = -np.ones((), data.dtype) / n
+        grad = np.zeros_like(data)
+        grad += upstream - softmax * upstream.sum(axis=-1, keepdims=True)
+        return grad
+
+    def test_float32_loss_gradient_flushes_subnormals(self):
+        data, targets = self._overconfident_logits(np.float32)
+        tiny = np.finfo(np.float32).tiny
+        unflushed = self._unflushed_grad(data, targets)
+        subnormal = (unflushed != 0) & (np.abs(unflushed) < tiny)
+        assert subnormal.sum() == 18  # three classes in each of six rows
+        logits = Tensor(data, requires_grad=True)
+        F.cross_entropy(logits, targets).backward()
+        grad = logits.grad
+        assert grad.dtype == np.float32
+        assert not ((grad != 0) & (np.abs(grad) < tiny)).any()
+        assert (grad[subnormal] == 0).all()
+        assert np.array_equal(np.signbit(grad[subnormal]), np.signbit(unflushed[subnormal]))
+        assert np.array_equal(bits(grad[~subnormal]), bits(unflushed[~subnormal]))
+
+    def test_float64_loss_gradient_unchanged(self):
+        # exp(-95) is a normal float64, so nothing is flushed.
+        data, targets = self._overconfident_logits(np.float64)
+        logits = Tensor(data, requires_grad=True)
+        F.cross_entropy(logits, targets).backward()
+        assert np.array_equal(bits(logits.grad), bits(self._unflushed_grad(data, targets)))
 
     def test_bce_gradcheck(self):
         logits = randp(6)
